@@ -19,13 +19,7 @@ import sys
 import time
 
 from . import __version__
-from .curvature import (
-    curvature_bounds,
-    result_to_dict,
-    ricci_auto,
-    ricci_formula,
-    ricci_lp,
-)
+from .curvature import curvature_bounds, curvature_of_core, result_to_dict
 from .errors import (
     GraphInputError,
     NotAnEdgeError,
@@ -40,7 +34,7 @@ from .randgraph import (
     run_experiment,
 )
 from .ricciflat import flatness_with_classification
-from .transport import DEFAULT_ORACLE_CAP, w1_primal_value
+from .transport import DEFAULT_ORACLE_CAP
 from .graph import core_neighborhood
 
 
@@ -101,17 +95,9 @@ def cmd_curvature(args) -> int:
         edges = [(u, v)]
     payload = []
     for u, v in edges:
-        if args.method == "lp":
-            result = ricci_lp(g, u, v, cap=cap)
-        elif args.method == "formula":
-            result = ricci_formula(g, u, v)
-            if args.verify:
-                lp_kappa = 1 - w1_primal_value(core_neighborhood(g, u, v))
-                if lp_kappa != result.kappa:
-                    raise VerificationError((u, v), result.kappa, lp_kappa, result.method)
-        else:
-            result = ricci_auto(g, u, v, verify=args.verify, cap=cap)
-        payload.append(result_to_dict(result, curvature_bounds(g, u, v)))
+        core = core_neighborhood(g, u, v)
+        result = curvature_of_core(core, method=args.method, verify=args.verify, cap=cap)
+        payload.append(result_to_dict(result, curvature_bounds(g, u, v, core=core)))
     if args.format == "csv":
         lines = ["u,v,kappa,kappa_float,method,bounds"]
         for entry in payload:

@@ -3,7 +3,8 @@
 Four routes to the same number: the transport LP, and closed forms for three
 structural regimes (no short cycles through the edge, bipartite host, global
 girth at least five).  ricci_auto dispatches cheapest-first and can be asked
-to re-check any formula answer against the LP.
+to re-check any formula answer against the LP.  Per-edge functions build the
+edge's CoreNeighborhood unless the caller passes the one it holds as `core=`.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from fractions import Fraction
 
 from .errors import NotApplicableError, VerificationError
 from .graph import (
+    CoreNeighborhood,
     Graph,
     NeighborPartition,
+    components_within,
     core_neighborhood,
-    girth_at_least,
     neighbor_partition,
     two_coloring,
 )
@@ -52,41 +54,20 @@ class CurvatureResult:
     certificates: W1Result | None = None
 
 
-def _components_within(g: Graph, vertices) -> list[tuple[int, ...]]:
-    """Connected components of the subgraph induced on `vertices`, by least member."""
-    vs = sorted(vertices)
-    inside = set(vs)
-    parent = {v: v for v in vs}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for v in vs:
-        for w in g.neighbors(v):
-            if w > v and w in inside:
-                ra, rb = find(v), find(w)
-                if ra != rb:
-                    if rb < ra:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for v in vs:
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(groups[r]) for r in sorted(groups)]
-
-
 def ricci_lp(
-    g: Graph, x: int, y: int, *, cap: int = DEFAULT_ORACLE_CAP
+    g: Graph,
+    x: int,
+    y: int,
+    *,
+    cap: int = DEFAULT_ORACLE_CAP,
+    core: CoreNeighborhood | None = None,
 ) -> CurvatureResult:
     """Exact curvature via the transport LP on the core neighborhood.
 
     When the core fits under the dual-oracle cap the independent Lipschitz
     certificate is computed as well and must agree bit for bit.
     """
-    core = core_neighborhood(g, x, y)
+    core = core or core_neighborhood(g, x, y)
     value, plan = w1_primal(core)
     certificates = W1Result(value=value, plan=plan, witness=None, gap=None)
     if len(core.vertices) <= cap:
@@ -127,10 +108,6 @@ def _partition_witness(part: NeighborPartition):
     return None
 
 
-def _girth6_value(g: Graph, x: int, y: int) -> Fraction:
-    return -2 * positive_part(ONE - Fraction(1, g.degree(x)) - Fraction(1, g.degree(y)))
-
-
 def ricci_girth6_formula(g: Graph, x: int, y: int) -> CurvatureResult:
     """Closed form for edges supporting no 3-, 4-, or 5-cycle: -2(1 - 1/d_x - 1/d_y)_+.
 
@@ -146,9 +123,8 @@ def ricci_girth6_formula(g: Graph, x: int, y: int) -> CurvatureResult:
 
 
 def _girth6_from_partition(g: Graph, x: int, y: int) -> CurvatureResult:
-    return CurvatureResult(
-        edge=(x, y), kappa=_girth6_value(g, x, y), method="tree_girth6"
-    )
+    kappa = -2 * positive_part(ONE - Fraction(1, g.degree(x)) - Fraction(1, g.degree(y)))
+    return CurvatureResult(edge=(x, y), kappa=kappa, method="tree_girth6")
 
 
 def ricci_bipartite_formula(g: Graph, x: int, y: int) -> CurvatureResult:
@@ -165,15 +141,16 @@ def ricci_bipartite_formula(g: Graph, x: int, y: int) -> CurvatureResult:
     The value is symmetric in x and y although the expression reads
     one-sided.
     """
-    colors, odd_cycle = two_coloring(g)
-    if colors is None:
-        raise NotApplicableError("graph is not bipartite", witness=odd_cycle)
-    part = neighbor_partition(g, x, y)
-    return _bipartite_from_partition(g, x, y, part)
+    if not g.is_bipartite():
+        raise NotApplicableError("graph is not bipartite", witness=two_coloring(g)[1])
+    return _bipartite_from_partition(g, x, y, neighbor_partition(g, x, y))
 
 
 def _max_flow(n: int, source: int, sink: int, arcs) -> int:
-    """Integer max flow (Dinic); arcs is a list of (tail, head, capacity)."""
+    """Integer max flow (Dinic); arcs is a list of (tail, head, capacity).
+
+    Augmenting paths are walked with an explicit path list, never by recursion.
+    """
     head_of: list[list[int]] = [[] for _ in range(n)]
     to: list[int] = []
     cap: list[int] = []
@@ -198,27 +175,28 @@ def _max_flow(n: int, source: int, sink: int, arcs) -> int:
         if level[sink] < 0:
             return total
         cursor = [0] * n
-
-        def augment(u: int, limit: int) -> int:
-            if u == sink:
-                return limit
-            while cursor[u] < len(head_of[u]):
-                e = head_of[u][cursor[u]]
-                v = to[e]
-                if cap[e] > 0 and level[v] == level[u] + 1:
-                    got = augment(v, min(limit, cap[e]))
-                    if got:
-                        cap[e] -= got
-                        cap[e ^ 1] += got
-                        return got
-                cursor[u] += 1
-            return 0
-
+        path: list[int] = []  # arcs of the walk from the source to u
+        u = source
         while True:
-            pushed = augment(source, sum(cap))
-            if not pushed:
-                break
-            total += pushed
+            if u == sink:
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                total += pushed
+                path, u = [], source
+            elif cursor[u] == len(head_of[u]):
+                if not path:
+                    break
+                u = to[path.pop() ^ 1]  # dead end: retreat and skip the arc
+                cursor[u] += 1
+            else:
+                e = head_of[u][cursor[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = to[e]
+                else:
+                    cursor[u] += 1
 
 
 def _subset_gain(lows, ups, adj, dx: int, dy: int) -> Fraction:
@@ -250,7 +228,7 @@ def _bipartite_from_partition(
     dx, dy = g.degree(x), g.degree(y)
     side_x = set(part.n1_x)
     inner = ONE - Fraction(1, dx) - Fraction(1, dy) - Fraction(len(part.n1_y), dy)
-    for comp in _components_within(g, part.n1_x + part.n1_y):
+    for comp in components_within(g, part.n1_x + part.n1_y):
         lows = [v for v in comp if v not in side_x]
         ups = [v for v in comp if v in side_x]
         up_set = set(ups)
@@ -273,10 +251,9 @@ def ricci_girth5_formula(g: Graph, x: int, y: int) -> CurvatureResult:
     share a middle vertex in P; the same minimum cut as the bipartite form.
     Symmetric in x and y despite the one-sided expression.
     """
-    if not girth_at_least(g, 5):
+    if not g.has_girth_5():
         raise NotApplicableError("graph has girth below five")
-    part = neighbor_partition(g, x, y)
-    return _girth5_from_partition(g, x, y, part)
+    return _girth5_from_partition(g, x, y, neighbor_partition(g, x, y))
 
 
 def _girth5_from_partition(
@@ -288,7 +265,7 @@ def _girth5_from_partition(
     side_y = set(part.n2_y)
     middles = set(part.p_xy)
     inner = TWO - Fraction(2, dx) - Fraction(2, dy)
-    for comp in _components_within(g, part.n2_x + part.n2_y + part.p_xy):
+    for comp in components_within(g, part.n2_x + part.n2_y + part.p_xy):
         lows = [v for v in comp if v in side_y]
         ups = [v for v in comp if v in side_x]
         adj: dict[int, set[int]] = {v: set() for v in lows}
@@ -312,12 +289,14 @@ def _girth5_from_partition(
     )
 
 
-def jost_liu_bounds(g: Graph, x: int, y: int) -> BoundPair:
+def jost_liu_bounds(
+    g: Graph, x: int, y: int, *, core: CoreNeighborhood | None = None
+) -> BoundPair:
     """Triangle-count sandwich valid on every edge of every graph."""
-    part = neighbor_partition(g, x, y)
+    core = core or core_neighborhood(g, x, y)
     dx, dy = g.degree(x), g.degree(y)
     dmax, dmin = max(dx, dy), min(dx, dy)
-    tri = len(part.delta)
+    tri = len(core.partition.delta)
     upper = Fraction(tri, dmax)
     base = ONE - Fraction(1, dx) - Fraction(1, dy)
     lower = (
@@ -328,26 +307,29 @@ def jost_liu_bounds(g: Graph, x: int, y: int) -> BoundPair:
     return BoundPair(lower=lower, upper=upper, source="jost_liu")
 
 
-def bipartite_upper_bound(g: Graph, x: int, y: int) -> BoundPair:
+def bipartite_upper_bound(
+    g: Graph, x: int, y: int, *, core: CoreNeighborhood | None = None
+) -> BoundPair:
     """Upper bound for bipartite hosts; equality candidate when R(x,y) is connected."""
-    colors, odd_cycle = two_coloring(g)
-    if colors is None:
-        raise NotApplicableError("graph is not bipartite", witness=odd_cycle)
-    part = neighbor_partition(g, x, y)
+    if not g.is_bipartite():
+        raise NotApplicableError("graph is not bipartite", witness=two_coloring(g)[1])
+    part = (core or core_neighborhood(g, x, y)).partition
     dx, dy = g.degree(x), g.degree(y)
     share = min(Fraction(len(part.n1_x), dx), Fraction(len(part.n1_y), dy))
     upper = -2 * positive_part(ONE - Fraction(1, dx) - Fraction(1, dy) - share)
-    components = _components_within(g, part.n1_x + part.n1_y)
+    components = components_within(g, part.n1_x + part.n1_y)
     note = "r_connected" if len(components) <= 1 else None
     return BoundPair(lower=Fraction(-2), upper=upper, source="bipartite_upper", note=note)
 
 
-def curvature_bounds(g: Graph, x: int, y: int) -> list[BoundPair]:
+def curvature_bounds(
+    g: Graph, x: int, y: int, *, core: CoreNeighborhood | None = None
+) -> list[BoundPair]:
     """Every bound pair whose hypotheses hold on this edge, in a fixed order."""
-    part = neighbor_partition(g, x, y)
+    core = core or core_neighborhood(g, x, y)
     dx, dy = g.degree(x), g.degree(y)
-    bounds = [jost_liu_bounds(g, x, y)]
-    if not part.delta:
+    bounds = [jost_liu_bounds(g, x, y, core=core)]
+    if not core.partition.delta:
         bounds.append(
             BoundPair(
                 lower=-2 * positive_part(ONE - Fraction(1, dx) - Fraction(1, dy)),
@@ -355,12 +337,11 @@ def curvature_bounds(g: Graph, x: int, y: int) -> list[BoundPair]:
                 source="triangle_free",
             )
         )
-    bounds.append(matching_lower_bound(g, x, y))
-    bounds.append(two_matching_lower_bound(g, x, y))
-    colors, _ = two_coloring(g)
-    if colors is not None:
-        bounds.append(bipartite_upper_bound(g, x, y))
-    if girth_at_least(g, 5):
+    bounds.append(matching_lower_bound(g, x, y, core=core))
+    bounds.append(two_matching_lower_bound(g, x, y, core=core))
+    if g.is_bipartite():
+        bounds.append(bipartite_upper_bound(g, x, y, core=core))
+    if g.has_girth_5():
         delta_min = min(g.degrees(), default=0)
         if delta_min >= 1:
             bounds.append(
@@ -373,6 +354,36 @@ def curvature_bounds(g: Graph, x: int, y: int) -> list[BoundPair]:
     return bounds
 
 
+def _dispatch(core: CoreNeighborhood, verify: bool, cap: int | None) -> CurvatureResult:
+    """Cheapest applicable route: girth6 formula, bipartite formula, girth5 formula, LP.
+
+    A common neighbor on the edge rules out both bipartiteness and girth 5, and
+    a 4-cycle through the edge rules out girth 5, so the global facts are only
+    consulted when the local partition leaves the regime possible.  cap is the
+    LP's oracle cap and the largest core a formula answer is re-checked on
+    under verify; None allows no LP and re-checks every core.
+    """
+    g, part, x, y = core.graph, core.partition, core.x, core.y
+    if part.all_empty():
+        result = _girth6_from_partition(g, x, y)
+    elif not part.delta and g.is_bipartite():
+        result = _bipartite_from_partition(g, x, y, part)
+    elif not (part.delta or part.n1_x or part.n1_y) and g.has_girth_5():
+        result = _girth5_from_partition(g, x, y, part)
+    elif cap is not None:
+        return ricci_lp(g, x, y, cap=cap, core=core)
+    else:
+        raise NotApplicableError(
+            "no closed-form regime applies to this edge",
+            witness=_partition_witness(part),
+        )
+    if verify and (cap is None or len(core.vertices) <= cap):
+        lp_kappa = 1 - w1_primal_value(core)
+        if lp_kappa != result.kappa:
+            raise VerificationError((x, y), result.kappa, lp_kappa, result.method)
+    return result
+
+
 def ricci_auto(
     g: Graph,
     x: int,
@@ -380,52 +391,37 @@ def ricci_auto(
     *,
     verify: bool = False,
     cap: int = DEFAULT_ORACLE_CAP,
+    core: CoreNeighborhood | None = None,
 ) -> CurvatureResult:
     """Cheapest applicable route: girth6 formula, bipartite formula, girth5 formula, LP.
 
-    A common neighbor on the edge rules out both bipartiteness and girth 5, and
-    a 4-cycle through the edge rules out girth 5, so the global scans only run
-    when the local partition leaves the regime possible.  With verify=True any
-    formula answer is recomputed through the LP (while the core is within the
-    oracle cap) and a mismatch raises rather than returns.
+    With verify=True any formula answer is recomputed through the LP (while
+    the core is within the oracle cap) and a mismatch raises rather than
+    returns.
     """
-    part = neighbor_partition(g, x, y)
-    if part.all_empty():
-        result = _girth6_from_partition(g, x, y)
-    elif part.delta:
-        result = ricci_lp(g, x, y, cap=cap)
-    else:
-        colors, _ = two_coloring(g)
-        if colors is not None:
-            result = _bipartite_from_partition(g, x, y, part)
-        elif not part.n1_x and not part.n1_y and girth_at_least(g, 5):
-            result = _girth5_from_partition(g, x, y, part)
-        else:
-            result = ricci_lp(g, x, y, cap=cap)
-    if verify and result.method != "lp":
-        core = core_neighborhood(g, x, y)
-        if len(core.vertices) <= cap:
-            lp_kappa = 1 - w1_primal_value(core)
-            if lp_kappa != result.kappa:
-                raise VerificationError((x, y), result.kappa, lp_kappa, result.method)
-    return result
+    return _dispatch(core or core_neighborhood(g, x, y), verify, cap)
 
 
-def ricci_formula(g: Graph, x: int, y: int) -> CurvatureResult:
-    """The applicable closed form, or NotApplicableError when no formula regime holds."""
-    part = neighbor_partition(g, x, y)
-    if part.all_empty():
-        return _girth6_from_partition(g, x, y)
-    if not part.delta:
-        colors, _ = two_coloring(g)
-        if colors is not None:
-            return _bipartite_from_partition(g, x, y, part)
-        if not part.n1_x and not part.n1_y and girth_at_least(g, 5):
-            return _girth5_from_partition(g, x, y, part)
-    raise NotApplicableError(
-        "no closed-form regime applies to this edge",
-        witness=_partition_witness(part),
-    )
+def ricci_formula(
+    g: Graph, x: int, y: int, *, verify: bool = False, core: CoreNeighborhood | None = None
+) -> CurvatureResult:
+    """The applicable closed form, or NotApplicableError when no formula regime holds.
+
+    With verify=True the answer is recomputed through the LP at any core size.
+    """
+    return _dispatch(core or core_neighborhood(g, x, y), verify, None)
+
+
+def curvature_of_core(
+    core: CoreNeighborhood, *, method: str, verify: bool, cap: int
+) -> CurvatureResult:
+    """Curvature of the core's edge by `method` (auto, lp or formula)."""
+    g, x, y = core.graph, core.x, core.y
+    if method == "lp":
+        return ricci_lp(g, x, y, cap=cap, core=core)
+    if method == "formula":
+        return ricci_formula(g, x, y, verify=verify, core=core)
+    return ricci_auto(g, x, y, verify=verify, cap=cap, core=core)
 
 
 def curvature_all(
@@ -438,15 +434,12 @@ def curvature_all(
     """One result per edge in lexicographic (u, v) order."""
     if method not in ("auto", "lp", "formula"):
         raise ValueError(f"unknown method {method!r}")
-    results = []
-    for u, v in g.edges():
-        if method == "auto":
-            results.append(ricci_auto(g, u, v, verify=verify, cap=cap))
-        elif method == "lp":
-            results.append(ricci_lp(g, u, v, cap=cap))
-        else:
-            results.append(ricci_formula(g, u, v))
-    return results
+    return [
+        curvature_of_core(
+            core_neighborhood(g, u, v), method=method, verify=verify, cap=cap
+        )
+        for u, v in g.edges()
+    ]
 
 
 def bounds_to_dict(bounds: list[BoundPair]) -> dict:

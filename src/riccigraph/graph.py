@@ -25,7 +25,7 @@ _DENSE_LIMIT = 4096
 class Graph:
     """Undirected simple graph with sorted, immutable adjacency lists."""
 
-    __slots__ = ("_n", "_adj", "_edge_count", "_dense")
+    __slots__ = ("_n", "_adj", "_edge_count", "_dense", "_facts")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0 or vertex_count > MAX_VERTEX_ID + 1:
@@ -48,6 +48,7 @@ class Graph:
         self._adj = tuple(tuple(sorted(l)) for l in lists)
         self._edge_count = len(seen)
         self._dense = None
+        self._facts = {}
 
     @classmethod
     def from_arrays(cls, vertex_count: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
@@ -80,6 +81,7 @@ class Graph:
         )
         g._edge_count = len(packed)
         g._dense = None
+        g._facts = {}
         return g
 
     @property
@@ -131,6 +133,18 @@ class Graph:
                     a[u, list(nb)] = True
             self._dense = a
         return self._dense
+
+    def is_bipartite(self) -> bool:
+        """Whether two_coloring succeeds; scanned on first use, then cached."""
+        if "bipartite" not in self._facts:
+            self._facts["bipartite"] = two_coloring(self)[0] is not None
+        return self._facts["bipartite"]
+
+    def has_girth_5(self) -> bool:
+        """girth_at_least(self, 5); scanned on first use, then cached."""
+        if "girth5" not in self._facts:
+            self._facts["girth5"] = girth_at_least(self, 5)
+        return self._facts["girth5"]
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self._n}, edges={self._edge_count})"
@@ -189,6 +203,11 @@ def bfs_distance_capped(g: Graph, source: int, cap: int) -> dict[int, int]:
         raise GraphInputError(f"source {source} out of range")
     if cap < 0:
         raise GraphInputError(f"negative distance cap {cap}")
+    return _bfs(g._adj, source, cap)
+
+
+def _bfs(adj, source: int, cap: int) -> dict[int, int]:
+    # distances up to cap; adj[v] lists the neighbors of vertex v
     dist = {source: 0}
     frontier = deque([source])
     while frontier:
@@ -196,7 +215,7 @@ def bfs_distance_capped(g: Graph, source: int, cap: int) -> dict[int, int]:
         d = dist[u]
         if d == cap:
             continue
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if w not in dist:
                 dist[w] = d + 1
                 frontier.append(w)
@@ -320,9 +339,14 @@ def two_coloring(g: Graph) -> tuple[list[int] | None, list[int] | None]:
     return color, None
 
 
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components, each sorted, ordered by least vertex."""
-    parent = list(range(g.vertex_count))
+def components_within(g: Graph, vertices: Iterable[int]) -> list[tuple[int, ...]]:
+    """Connected components of the subgraph induced on `vertices`.
+
+    Each component is a sorted tuple; components are ordered by least member.
+    """
+    vs = sorted(vertices)
+    inside = set(vs)
+    parent = {v: v for v in vs}
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -330,17 +354,23 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
             a = parent[a]
         return a
 
-    for u, v in g.edges():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if ru < rv:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
+    for v in vs:
+        for w in g.neighbors(v):
+            if w > v and w in inside:
+                ra, rb = find(v), find(w)
+                if ra != rb:
+                    if rb < ra:
+                        ra, rb = rb, ra
+                    parent[rb] = ra
     groups: dict[int, list[int]] = {}
-    for v in range(g.vertex_count):
+    for v in vs:
         groups.setdefault(find(v), []).append(v)
     return [tuple(groups[r]) for r in sorted(groups)]
+
+
+def connected_components(g: Graph) -> list[tuple[int, ...]]:
+    """Vertex sets of the connected components, each sorted, ordered by least vertex."""
+    return components_within(g, range(g.vertex_count))
 
 
 @dataclass(frozen=True)
@@ -479,24 +509,14 @@ class CoreNeighborhood:
     def local_distance(self) -> list[list[int]]:
         """Pairwise core distances in core-index order, truncated at 4."""
         if self._local_distance is None:
-            n = len(self.vertices)
             idx = self.index
-            mat = [[4] * n for _ in range(n)]
-            for i, s in enumerate(self.vertices):
-                row = mat[i]
-                row[i] = 0
-                frontier = deque([s])
-                dist = {s: 0}
-                while frontier:
-                    u = frontier.popleft()
-                    d = dist[u]
-                    if d >= 4:
-                        continue
-                    for w in self.adjacency[idx[u]]:
-                        if w not in dist:
-                            dist[w] = d + 1
-                            row[idx[w]] = min(d + 1, 4)
-                            frontier.append(w)
+            adj = dict(zip(self.vertices, self.adjacency))
+            mat = []
+            for s in self.vertices:
+                row = [4] * len(idx)
+                for v, d in _bfs(adj, s, 4).items():
+                    row[idx[v]] = d
+                mat.append(row)
             self._local_distance = mat
         return self._local_distance
 

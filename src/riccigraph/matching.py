@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GraphInputError, NotApplicableError
-from .graph import Graph, core_neighborhood, neighbor_partition
+from .graph import CoreNeighborhood, Graph, core_neighborhood, neighbor_partition
 
 HALL_SCAN_LIMIT = 20
 
@@ -137,32 +137,29 @@ def hall_deficiency_bruteforce(inst: MatchingInstance) -> int:
     return best
 
 
-def _q_sets(g: Graph, x: int, y: int, delta: frozenset) -> tuple[tuple, tuple]:
+def _q_instance(g: Graph, x: int, y: int, delta: frozenset) -> MatchingInstance:
+    # Q(x) against Q(y), paired when adjacent
     qx = tuple(v for v in sorted(g.neighbors(x)) if v not in delta)
     qy = tuple(v for v in sorted(g.neighbors(y)) if v not in delta)
-    return qx, qy
+    qy_set = set(qy)
+    pairs = tuple((a, b) for a in qx for b in sorted(set(g.neighbors(a)) & qy_set))
+    return MatchingInstance(left=qx, right=qy, adjacency=pairs)
 
 
-def _adjacent_pairs(g: Graph, left, right) -> tuple[tuple[int, int], ...]:
-    rset = set(right)
-    return tuple(
-        (a, b) for a in left for b in sorted(set(g.neighbors(a)) & rset)
-    )
-
-
-def matching_lower_bound(g: Graph, x: int, y: int) -> BoundPair:
+def matching_lower_bound(
+    g: Graph, x: int, y: int, *, core: CoreNeighborhood | None = None
+) -> BoundPair:
     """Lower bound |Delta|/(dmax) - 2(1 - (|M| + |Delta|)/dmax) from a maximum
     matching M of adjacent pairs between Q(x) and Q(y); Eq-style upper |Delta|/dmax."""
-    part = neighbor_partition(g, x, y)
-    delta = frozenset(part.delta)
+    core = core or core_neighborhood(g, x, y)
+    delta = frozenset(core.partition.delta)
     t = len(delta)
     dx, dy = g.degree(x), g.degree(y)
     dmax = max(dx, dy)
-    qx, qy = _q_sets(g, x, y, delta)
-    inst = MatchingInstance(left=qx, right=qy, adjacency=_adjacent_pairs(g, qx, qy))
+    inst = _q_instance(g, x, y, delta)
     m = max_matching(inst).size
     lower = Fraction(t, dmax) - 2 * (1 - Fraction(m + t, dmax))
-    saturated = m == min(len(qx), len(qy))
+    saturated = m == min(len(inst.left), len(inst.right))
     return BoundPair(
         lower=lower,
         upper=Fraction(t, dmax),
@@ -171,20 +168,21 @@ def matching_lower_bound(g: Graph, x: int, y: int) -> BoundPair:
     )
 
 
-def two_matching_lower_bound(g: Graph, x: int, y: int) -> BoundPair:
+def two_matching_lower_bound(
+    g: Graph, x: int, y: int, *, core: CoreNeighborhood | None = None
+) -> BoundPair:
     """Lower bound -2 + (3|Delta| + k + 2)/dmax from a maximum 2-matching.
 
     The 2-matching pairs R(x) against R(y) at core distance <= 2 and reduces
     to an ordinary matching on that auxiliary instance.
     """
-    part = neighbor_partition(g, x, y)
-    delta = frozenset(part.delta)
+    core = core or core_neighborhood(g, x, y)
+    delta = frozenset(core.partition.delta)
     t = len(delta)
     dx, dy = g.degree(x), g.degree(y)
     dmax = max(dx, dy)
     rx = tuple(v for v in sorted(g.neighbors(x)) if v != y and v not in delta)
     ry = tuple(v for v in sorted(g.neighbors(y)) if v != x and v not in delta)
-    core = core_neighborhood(g, x, y)
     dist = core.local_distance()
     idx = core.index
     pairs = tuple(
@@ -217,7 +215,6 @@ def has_perfect_matching_between_neighborhoods(
             f"characterization needs d_x = d_y, got {dx} and {dy}"
         )
     delta = frozenset(part.delta)
-    qx, qy = _q_sets(g, x, y, delta)
-    inst = MatchingInstance(left=qx, right=qy, adjacency=_adjacent_pairs(g, qx, qy))
+    inst = _q_instance(g, x, y, delta)
     result = max_matching(inst)
     return result.size == dx - len(delta), result

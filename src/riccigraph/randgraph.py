@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -449,14 +450,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         limit = regime_descriptor(config.model, config.regime, config.n, config.p)
     else:
         limit = regime_limit(config.model, config.n, config.p)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # the pool starts all its workers up front, so never more than can be used
+    workers = min(config.workers, config.replicates, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(
                 pool.map(
                     _replicate,
                     [config] * config.replicates,
                     range(config.replicates),
-                    chunksize=max(1, config.replicates // (4 * config.workers)),
+                    chunksize=max(1, config.replicates // (4 * workers)),
                 )
             )
     else:

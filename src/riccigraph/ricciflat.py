@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .curvature import ricci_auto
 from .errors import GraphInputError, NotApplicableError
-from .graph import Graph, connected_components, girth, girth_at_least
+from .graph import Graph, connected_components, girth
 from .matching import has_perfect_matching_between_neighborhoods
 from .transport import DEFAULT_ORACLE_CAP
 
@@ -83,7 +83,7 @@ def classify_girth5_flat(g: Graph, *, cap: int = DEFAULT_ORACLE_CAP) -> Flatness
     The shape test is purely structural (degree sequence); its verdict is then
     required to agree with edge-wise flatness.
     """
-    if not girth_at_least(g, 5):
+    if not g.has_girth_5():
         raise NotApplicableError("classification needs girth at least five")
     if len(connected_components(g)) != 1:
         raise GraphInputError("classification needs a connected graph")
@@ -131,7 +131,7 @@ def flatness_with_classification(g: Graph, *, cap: int = DEFAULT_ORACLE_CAP) -> 
     disconnected) get the tag not_girth5_applicable instead of an error.
     """
     connected = len(connected_components(g)) == 1
-    if connected and girth_at_least(g, 5):
+    if connected and g.has_girth_5():
         return classify_girth5_flat(g, cap=cap)
     report = is_ricci_flat(g, cap=cap)
     return FlatnessReport(

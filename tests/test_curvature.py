@@ -127,6 +127,22 @@ def test_bipartite_formula_rejects_odd_cycle():
         ricci_bipartite_formula(cycle_graph(5), 0, 1)
 
 
+def test_bipartite_formula_long_augmenting_paths():
+    # x=0, y=1; a_i = 2+(m-i) hangs off x and b_i = 2+m+i off y, and the
+    # edges b_i-a_i, b_i-a_{i+1} chain R(x, y) into one long path, so the
+    # min cut's later augmenting paths zigzag through about 2m vertices.
+    m = 600
+    edges = [(0, 1)]
+    for i in range(1, m + 1):
+        a, b = 2 + (m - i), 2 + m + i
+        edges += [(0, a), (1, b), (b, a)]
+        if i < m:
+            edges.append((b, a - 1))
+    g = Graph(2 * m + 3, edges)
+    res = ricci_auto(g, 0, 1)
+    assert (res.kappa, res.method) == (0, "bipartite")
+
+
 def test_girth5_formula_matches_lp():
     for g in random_girth5_graphs(seed=17, count=30, nmax=16):
         for u, v in g.edges():

@@ -17,6 +17,7 @@ from riccigraph import (
     two_coloring,
     write_edge_list,
 )
+from riccigraph.graph import components_within
 from conftest import cycle_graph, path_graph, random_tree, star_graph
 
 
@@ -136,6 +137,31 @@ def test_connected_components_ordering():
     g = Graph(7, [(2, 3), (5, 6), (0, 1)])
     comps = connected_components(g)
     assert comps == [(0, 1), (2, 3), (4,), (5, 6)]
+
+
+def test_components_within_induced_subgraph():
+    g = cycle_graph(8)
+    assert components_within(g, [6, 0, 1, 7, 3, 4]) == [(0, 1, 6, 7), (3, 4)]
+    assert components_within(g, []) == []
+
+
+def test_global_facts_cached_on_graph():
+    import numpy as np
+
+    cube = generate_family("hypercube", [3])
+    arrays = Graph.from_arrays(10, np.array([0, 1, 2, 3, 4]), np.array([1, 2, 3, 4, 0]))
+    for g, bipartite, girth5 in (
+        (cube, True, False),
+        (generate_family("petersen", []), False, True),
+        (arrays, False, True),
+        (generate_family("complete", [4]), False, False),
+    ):
+        for _ in range(2):
+            assert g.is_bipartite() is bipartite
+            assert g.has_girth_5() is girth5
+    colors, _ = two_coloring(cube)
+    colors[0] = 7
+    assert two_coloring(cube)[0][0] == 0
 
 
 def test_neighbor_partition_cycle4():

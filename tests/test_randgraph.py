@@ -201,6 +201,41 @@ def test_experiment_worker_count_invisible():
     assert run_experiment(cfg1).to_csv() == run_experiment(cfg2).to_csv()
 
 
+def test_experiment_pool_clamped(monkeypatch):
+    # a stand-in pool that records its size and maps serially: a real pool
+    # starts every requested worker process up front
+    import riccigraph.randgraph as randgraph
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(randgraph, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(randgraph.os, "cpu_count", lambda: 8)
+    base = dict(model="gnp", n=50, p=0.5, seed=3)
+    serial = run_experiment(ExperimentConfig(replicates=2, workers=1, **base))
+    wide = run_experiment(ExperimentConfig(replicates=2, workers=100_000, **base))
+    assert sizes == [2]
+    assert wide.to_csv() == serial.to_csv()
+    assert wide.to_json_dict() == serial.to_json_dict()
+    run_experiment(ExperimentConfig(replicates=12, workers=100_000, **base))
+    assert sizes == [2, 8]
+    monkeypatch.setattr(randgraph.os, "cpu_count", lambda: None)
+    run_experiment(ExperimentConfig(replicates=12, workers=100_000, **base))
+    assert sizes == [2, 8]
+
+
 def test_experiment_kappa_rows():
     cfg = ExperimentConfig(
         model="gnp", n=200, p=3 / 200, replicates=40, seed=9, reference_samples=2000

@@ -1,0 +1,97 @@
+"""One core per edge and one scan of each global graph fact per graph.
+
+The counters rebind every riccigraph name that refers to a counted function,
+the way bench/tracing.py records its spans, so calls made through a
+`from .graph import ...` binding are seen too.
+"""
+
+import json
+import sys
+
+import numpy as np
+import pytest
+
+from riccigraph import (
+    Graph,
+    cli,
+    curvature_all,
+    curvature_bounds,
+    generate_family,
+    parse_edge_list,
+    result_to_dict,
+    ricci_auto,
+    write_edge_list,
+)
+from riccigraph import graph as graph_module
+
+COUNTED = ("neighbor_partition", "core_neighborhood", "two_coloring", "girth_at_least")
+
+
+def _gnm(n, m, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [pairs[i] for i in rng.choice(len(pairs), size=m, replace=False)])
+
+
+GRAPHS = {
+    "Q4": lambda: generate_family("hypercube", [4]),
+    "Petersen": lambda: generate_family("petersen", []),
+    "G(60,177)": lambda: _gnm(60, 177, seed=11),
+}
+
+
+def _count_calls(monkeypatch):
+    counts = dict.fromkeys(COUNTED, 0)
+    for name in COUNTED:
+        original = getattr(graph_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "riccigraph" or mod_name.startswith("riccigraph."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+def _assert_shared(counts, edges):
+    assert counts["neighbor_partition"] == edges
+    assert counts["core_neighborhood"] == edges
+    assert counts["two_coloring"] <= 1
+    assert counts["girth_at_least"] <= 1
+
+
+@pytest.mark.parametrize("label", sorted(GRAPHS))
+def test_curvature_all_builds_one_core_per_edge(label, monkeypatch):
+    g = GRAPHS[label]()
+    with monkeypatch.context() as patch:
+        counts = _count_calls(patch)
+        results = curvature_all(g, verify=True)
+    _assert_shared(counts, g.edge_count)
+    fresh = GRAPHS[label]()
+    for result, (u, v) in zip(results, fresh.edges(), strict=True):
+        expected = ricci_auto(fresh, u, v)
+        assert (result.edge, result.kappa, result.method) == (
+            expected.edge, expected.kappa, expected.method
+        )
+
+
+@pytest.mark.parametrize("label", sorted(GRAPHS))
+def test_cli_curvature_all_builds_one_core_per_edge(label, monkeypatch, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(write_edge_list(GRAPHS[label]()))
+    with monkeypatch.context() as patch:
+        counts = _count_calls(patch)
+        rc = cli.main(["curvature", "--graph", str(path), "--all"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    fresh = parse_edge_list(path.read_text())
+    _assert_shared(counts, fresh.edge_count)
+    expected = [
+        result_to_dict(ricci_auto(fresh, u, v), curvature_bounds(fresh, u, v))
+        for u, v in fresh.edges()
+    ]
+    assert json.loads(out)["results"] == json.loads(json.dumps(expected))
