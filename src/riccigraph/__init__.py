@@ -8,7 +8,6 @@ are independent routes that the test suite forces to agree bit for bit.
 __version__ = "0.1.0"
 
 from .errors import (
-    DualityGapError,
     GraphInputError,
     NotAnEdgeError,
     NotApplicableError,
@@ -36,13 +35,9 @@ from .graph import (
 from .transport import (
     DEFAULT_ORACLE_CAP,
     LipschitzWitness,
-    TransportPlan,
-    W1Result,
     solve_transportation,
-    verify_duality,
     w1_dual_oracle,
     w1_primal,
-    w1_primal_value,
 )
 from .matching import (
     BoundPair,

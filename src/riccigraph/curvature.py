@@ -25,13 +25,7 @@ from .graph import (
 )
 from .matching import BoundPair, matching_lower_bound, two_matching_lower_bound
 from .rationals import format_rational, positive_part
-from .transport import (
-    DEFAULT_ORACLE_CAP,
-    W1Result,
-    w1_dual_oracle,
-    w1_primal,
-    w1_primal_value,
-)
+from .transport import DEFAULT_ORACLE_CAP, w1_dual_oracle, w1_primal
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -51,7 +45,6 @@ class CurvatureResult:
     kappa: Fraction
     method: str
     detail: Girth5Breakdown | None = None
-    certificates: W1Result | None = None
 
 
 def ricci_lp(
@@ -64,34 +57,25 @@ def ricci_lp(
 ) -> CurvatureResult:
     """Exact curvature via the transport LP on the core neighborhood.
 
-    When the core fits under the dual-oracle cap the independent Lipschitz
-    certificate is computed as well and must agree bit for bit.
+    The solver certifies its optimum with integer potentials.  When the core
+    fits under the dual-oracle cap the independent Lipschitz enumeration is
+    run as well and must agree bit for bit.
     """
     core = core or core_neighborhood(g, x, y)
-    value, plan = w1_primal(core)
-    certificates = W1Result(value=value, plan=plan, witness=None, gap=None)
+    value = w1_primal(core)
     if len(core.vertices) <= cap:
-        dual_value, witness = w1_dual_oracle(core, cap)
-        certificates = W1Result(
-            value=value, plan=plan, witness=witness, gap=value - dual_value
-        )
+        dual_value, _ = w1_dual_oracle(core, cap)
         if dual_value != value:
             raise VerificationError((x, y), 1 - dual_value, 1 - value, "lp")
-    return CurvatureResult(
-        edge=(x, y), kappa=1 - value, method="lp", certificates=certificates
-    )
+    return CurvatureResult(edge=(x, y), kappa=1 - value, method="lp")
 
 
 def ricci_oracle(
     g: Graph, x: int, y: int, *, cap: int = DEFAULT_ORACLE_CAP
 ) -> CurvatureResult:
-    """Curvature from the dual enumeration alone (no transport plan)."""
-    core = core_neighborhood(g, x, y)
-    value, witness = w1_dual_oracle(core, cap)
-    certificates = W1Result(value=value, plan=None, witness=witness, gap=None)
-    return CurvatureResult(
-        edge=(x, y), kappa=1 - value, method="oracle", certificates=certificates
-    )
+    """Curvature from the dual enumeration alone, without the transport LP."""
+    value, _ = w1_dual_oracle(core_neighborhood(g, x, y), cap)
+    return CurvatureResult(edge=(x, y), kappa=1 - value, method="oracle")
 
 
 def _partition_witness(part: NeighborPartition):
@@ -378,7 +362,7 @@ def _dispatch(core: CoreNeighborhood, verify: bool, cap: int | None) -> Curvatur
             witness=_partition_witness(part),
         )
     if verify and (cap is None or len(core.vertices) <= cap):
-        lp_kappa = 1 - w1_primal_value(core)
+        lp_kappa = 1 - w1_primal(core)
         if lp_kappa != result.kappa:
             raise VerificationError((x, y), result.kappa, lp_kappa, result.method)
     return result

@@ -28,20 +28,6 @@ class OracleCapExceededError(RuntimeError):
         self.cap = cap
 
 
-class DualityGapError(RuntimeError):
-    """Primal and dual transport values disagree.  Always a bug, never user error."""
-
-    def __init__(self, primal, dual, plan=None, witness=None):
-        super().__init__(
-            f"duality gap: primal {primal} != dual {dual}; "
-            "this is an internal error, both certificates attached"
-        )
-        self.primal = primal
-        self.dual = dual
-        self.plan = plan
-        self.witness = witness
-
-
 class VerificationError(RuntimeError):
     """A formula value disagrees with the LP value during cross-checking."""
 

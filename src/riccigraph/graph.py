@@ -457,8 +457,7 @@ class CoreNeighborhood:
     """
 
     __slots__ = (
-        "graph", "partition", "x", "y", "vertices", "index",
-        "adjacency", "_local_distance", "_costs",
+        "graph", "partition", "x", "y", "vertices", "index", "_local_distance", "_costs",
     )
 
     def __init__(self, graph: Graph, partition: NeighborPartition):
@@ -466,25 +465,14 @@ class CoreNeighborhood:
         self.partition = partition
         self.x = partition.x
         self.y = partition.y
-        nx = set(graph.neighbors(self.x))
-        ny = set(graph.neighbors(self.y))
-        pset = set(partition.p_xy)
-        verts = sorted({self.x, self.y} | nx | ny | pset)
+        verts = sorted(
+            {self.x, self.y}
+            | set(graph.neighbors(self.x))
+            | set(graph.neighbors(self.y))
+            | set(partition.p_xy)
+        )
         self.vertices = tuple(verts)
         self.index = {v: i for i, v in enumerate(verts)}
-        dset = set(partition.delta)
-        inside = self.index
-        adj = []
-        for v in verts:
-            row = []
-            for w in graph.neighbors(v):
-                if w not in inside:
-                    continue
-                if (v in dset and w in pset) or (v in pset and w in dset):
-                    continue  # phi edge
-                row.append(w)
-            adj.append(tuple(row))
-        self.adjacency = tuple(adj)
         self._local_distance = None
         self._costs = None
 
@@ -510,7 +498,13 @@ class CoreNeighborhood:
         """Pairwise core distances in core-index order, truncated at 4."""
         if self._local_distance is None:
             idx = self.index
-            adj = dict(zip(self.vertices, self.adjacency))
+            dset = set(self.partition.delta)
+            pset = set(self.partition.p_xy)
+            adj = {}
+            for v in self.vertices:
+                # the induced core without phi edges (delta to P)
+                skip = pset if v in dset else dset if v in pset else ()
+                adj[v] = [w for w in self.graph.neighbors(v) if w in idx and w not in skip]
             mat = []
             for s in self.vertices:
                 row = [4] * len(idx)

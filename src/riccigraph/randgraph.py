@@ -22,7 +22,7 @@ import numpy as np
 
 from .curvature import ricci_auto
 from .errors import GraphInputError, RegimeUndeterminedError
-from .graph import Graph, bfs_distance_capped
+from .graph import CoreNeighborhood, Graph, core_neighborhood
 from .rationals import format_rational, positive_part
 
 DEFAULT_SIZE_BUDGET = 250_000
@@ -396,15 +396,9 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def _marked_core_size(g: Graph, a: int, b: int) -> int:
-    da = bfs_distance_capped(g, a, 2)
-    db = bfs_distance_capped(g, b, 2)
-    verts = {v for v in da if da[v] == 2 and db.get(v) == 2}
-    verts.update(g.neighbors(a))
-    verts.update(g.neighbors(b))
-    verts.add(a)
-    verts.add(b)
-    return len(verts)
+def _marked_core_size(core: CoreNeighborhood) -> int:
+    """Vertices in the marked edge's core: {a, b} | N(a) | N(b) | P(a, b)."""
+    return len(core.vertices)
 
 
 def _replicate(config: ExperimentConfig, index: int) -> ReplicateRow:
@@ -426,14 +420,15 @@ def _replicate(config: ExperimentConfig, index: int) -> ReplicateRow:
             isolated=None,
             skip=f"transport instance {da}*{db} exceeds budget {config.size_budget}",
         )
-    result = ricci_auto(g, a, b)
+    core = core_neighborhood(g, a, b)
+    result = ricci_auto(g, a, b, core=core)
     return ReplicateRow(
         index=index,
         n=config.n,
         p=float(config.p),
         kappa=result.kappa,
         method=result.method,
-        core_size=_marked_core_size(g, a, b),
+        core_size=_marked_core_size(core),
         isolated=(da == 1 and db == 1),
         skip=None,
     )

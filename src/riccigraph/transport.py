@@ -4,8 +4,11 @@ Two independent routes compute the same number.  The primal route scales both
 uniform measures by L = lcm(d_x, d_y) and solves an integral min-cost
 transportation problem (total unimodularity makes the integer optimum the LP
 optimum).  The dual route exhaustively maximizes sum f d(m_x - m_y) over
-integer-valued 1-Lipschitz functions anchored at f(x) = 0.  verify_duality
-runs both and insists they agree to the last bit.
+integer-valued 1-Lipschitz functions anchored at f(x) = 0; it is the
+exponential reference that ricci_lp checks the primal value against on small
+cores.  The primal value needs no separate plan as its certificate: the
+solver checks its integer flow against integer potentials (complementary
+slackness and equal dual objective) before returning.
 """
 
 from __future__ import annotations
@@ -15,25 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DualityGapError, OracleCapExceededError
+from .errors import OracleCapExceededError
 from .graph import CoreNeighborhood
 
 DEFAULT_ORACLE_CAP = 18
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """A feasible transport plan: mass[i][j] moves rows[i] -> cols[j]."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    mass: tuple[tuple[Fraction, ...], ...]
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(r, Fraction(0)) for r in self.mass)
-
-    def col_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(col, Fraction(0)) for col in zip(*self.mass))
 
 
 @dataclass(frozen=True)
@@ -42,14 +30,6 @@ class LipschitzWitness:
 
     values: dict[int, int]
     objective: Fraction
-
-
-@dataclass(frozen=True)
-class W1Result:
-    value: Fraction
-    plan: TransportPlan | None
-    witness: LipschitzWitness | None
-    gap: Fraction | None
 
 
 def solve_transportation(
@@ -156,48 +136,63 @@ def solve_transportation(
             ptr_row = [0] * nr
             ptr_col = [0] * nc
             back_snapshot = [list(back[j]) for j in range(nc)]
-
-            def push_row(i: int, amount: int) -> int:
-                while ptr_row[i] < len(adm[i]):
-                    j = adm[i][ptr_row[i]]
-                    if level[nr + j] == level[i] + 1:
-                        got = push_col(j, amount)
-                        if got > 0:
-                            flow[i][j] += got
-                            back[j][i] = None
-                            return got
-                    ptr_row[i] += 1
-                return 0
-
-            def push_col(j: int, amount: int) -> int:
-                if rem_d[j] > 0:
-                    got = min(amount, rem_d[j])
-                    rem_d[j] -= got
-                    return got
-                snap = back_snapshot[j]
-                while ptr_col[j] < len(snap):
-                    i2 = snap[ptr_col[j]]
-                    if (
-                        level[i2] == level[nr + j] + 1
-                        and flow[i2][j] > 0
-                        and cost[i2][j] + pot[i2] - pot[nr + j] == 0
-                    ):
-                        got = push_row(i2, min(amount, flow[i2][j]))
-                        if got > 0:
-                            flow[i2][j] -= got
-                            if flow[i2][j] == 0:
-                                del back[j][i2]
-                            return got
-                    ptr_col[j] += 1
-                return 0
-
             for i in range(nr):
-                while rem_s[i] > 0:
-                    got = push_row(i, rem_s[i])
-                    if got == 0:
-                        break
-                    rem_s[i] -= got
-                    remaining -= got
+                # Walk augmenting paths from row i with an explicit node list
+                # (row, column, row, ..., column), never by recursion.
+                path = [i]
+                while path and rem_s[i] > 0:
+                    node = path[-1]
+                    if node < nr:
+                        arcs = adm[node]
+                        k = ptr_row[node]
+                        while k < len(arcs) and level[nr + arcs[k]] != level[node] + 1:
+                            k += 1
+                        ptr_row[node] = k
+                        if k < len(arcs):
+                            path.append(nr + arcs[k])
+                            continue
+                    else:
+                        j = node - nr
+                        if rem_d[j] > 0:
+                            got = min(rem_s[i], rem_d[j])
+                            for t in range(2, len(path), 2):
+                                got = min(got, flow[path[t]][path[t - 1] - nr])
+                            rem_d[j] -= got
+                            rem_s[i] -= got
+                            remaining -= got
+                            for t in range(1, len(path), 2):  # row -> column
+                                r, c = path[t - 1], path[t] - nr
+                                flow[r][c] += got
+                                back[c][r] = None
+                            for t in range(2, len(path), 2):  # column -> row
+                                r, c = path[t], path[t - 1] - nr
+                                flow[r][c] -= got
+                                if flow[r][c] == 0:
+                                    del back[c][r]
+                            path = [i]
+                            continue
+                        snap = back_snapshot[j]
+                        k = ptr_col[j]
+                        while k < len(snap):
+                            r = snap[k]
+                            if (
+                                level[r] == level[node] + 1
+                                and flow[r][j] > 0
+                                and cost[r][j] + pot[r] - pot[node] == 0
+                            ):
+                                break
+                            k += 1
+                        ptr_col[j] = k
+                        if k < len(snap):
+                            path.append(snap[k])
+                            continue
+                    # dead end: retreat and skip the arc that led here
+                    path.pop()
+                    if path:
+                        if path[-1] < nr:
+                            ptr_row[path[-1]] += 1
+                        else:
+                            ptr_col[path[-1] - nr] += 1
 
     total = sum(
         flow[i][j] * cost[i][j] for i in range(nr) for j in range(nc) if flow[i][j]
@@ -216,28 +211,14 @@ def solve_transportation(
     return total, flow
 
 
-def _primal_flow(core: CoreNeighborhood) -> tuple[Fraction, list[list[int]], int]:
+def w1_primal(core: CoreNeighborhood) -> Fraction:
+    """Exact W1 between m_x and m_y, the certified optimum of the scaled LP."""
     dx, dy = core.d_x, core.d_y
     scale = lcm(dx, dy)
-    supply = [scale // dx] * dx
-    demand = [scale // dy] * dy
-    total, flow = solve_transportation(core.transport_costs(), supply, demand)
-    return Fraction(total, scale), flow, scale
-
-
-def w1_primal_value(core: CoreNeighborhood) -> Fraction:
-    """W1 value only, skipping plan materialization (hot path for experiments)."""
-    value, _, _ = _primal_flow(core)
-    return value
-
-
-def w1_primal(core: CoreNeighborhood) -> tuple[Fraction, TransportPlan]:
-    """Exact W1 between m_x and m_y with an optimal transport plan."""
-    value, flow, scale = _primal_flow(core)
-    mass = tuple(
-        tuple(Fraction(f, scale) for f in row) for row in flow
+    total, _ = solve_transportation(
+        core.transport_costs(), [scale // dx] * dx, [scale // dy] * dy
     )
-    return value, TransportPlan(rows=core.rows, cols=core.cols, mass=mass)
+    return Fraction(total, scale)
 
 
 def w1_dual_oracle(
@@ -324,12 +305,3 @@ def w1_dual_oracle(
         values={v: best_vals[i] for i, v in enumerate(verts)}, objective=value
     )
     return value, witness
-
-
-def verify_duality(core: CoreNeighborhood, cap: int = DEFAULT_ORACLE_CAP) -> W1Result:
-    """Run both transport routes; agreement is mandatory, a gap is an internal bug."""
-    primal_value, plan = w1_primal(core)
-    dual_value, witness = w1_dual_oracle(core, cap)
-    if primal_value != dual_value:
-        raise DualityGapError(primal_value, dual_value, plan, witness)
-    return W1Result(value=primal_value, plan=plan, witness=witness, gap=Fraction(0))

@@ -7,8 +7,9 @@ trees, random bipartite graphs, and random girth->=5 graphs.
 
 import random
 from fractions import Fraction
+from math import lcm
 
-from riccigraph import Graph, bfs_distance_capped, generate_family
+from riccigraph import Graph, bfs_distance_capped, generate_family, solve_transportation
 
 
 def path_graph(n):
@@ -188,40 +189,32 @@ def disjoint_union(a, b):
     return Graph(a.vertex_count + b.vertex_count, edges)
 
 
-def check_certificates(core, cert):
-    """Validate a W1Result against its core: marginals, Lipschitz bound, objective."""
-    if cert.plan is not None:
-        plan = cert.plan
-        assert plan.rows == core.rows
-        assert plan.cols == core.cols
-        sx = Fraction(1, core.d_x)
-        sy = Fraction(1, core.d_y)
-        assert plan.row_sums() == tuple(sx for _ in core.rows)
-        assert plan.col_sums() == tuple(sy for _ in core.cols)
-        dist = core.local_distance()
-        idx = core.index
-        total = Fraction(0)
-        for i, u in enumerate(plan.rows):
-            for j, v in enumerate(plan.cols):
-                m = plan.mass[i][j]
-                assert m >= 0
-                total += m * dist[idx[u]][idx[v]]
-        assert total == cert.value
-    if cert.witness is not None:
-        w = cert.witness
-        dist = core.local_distance()
-        idx = core.index
-        verts = core.vertices
-        assert set(w.values) == set(verts)
-        for u in verts:
-            assert isinstance(w.values[u], int)
-            for v in verts:
-                assert abs(w.values[u] - w.values[v]) <= dist[idx[u]][idx[v]]
-        obj = Fraction(0)
-        for u in core.rows:
-            obj += Fraction(w.values[u], core.d_x)
-        for v in core.cols:
-            obj -= Fraction(w.values[v], core.d_y)
-        assert obj == w.objective
-    if cert.gap is not None:
-        assert cert.gap == 0
+def check_certificates(core, value, witness):
+    """Validate W1 = value on a core against the solver's integer flow and a dual witness."""
+    scale = lcm(core.d_x, core.d_y)
+    supply = [scale // core.d_x] * core.d_x
+    demand = [scale // core.d_y] * core.d_y
+    total, flow = solve_transportation(core.transport_costs(), supply, demand)
+    assert [sum(row) for row in flow] == supply
+    assert [sum(col) for col in zip(*flow)] == demand
+    assert all(f >= 0 for row in flow for f in row)
+    dist = core.local_distance()
+    idx = core.index
+    moved = sum(
+        flow[i][j] * dist[idx[u]][idx[v]]
+        for i, u in enumerate(core.rows)
+        for j, v in enumerate(core.cols)
+    )
+    assert moved == total == value * scale
+    verts = core.vertices
+    assert set(witness.values) == set(verts)
+    for u in verts:
+        assert isinstance(witness.values[u], int)
+        for v in verts:
+            assert abs(witness.values[u] - witness.values[v]) <= dist[idx[u]][idx[v]]
+    obj = Fraction(0)
+    for u in core.rows:
+        obj += Fraction(witness.values[u], core.d_x)
+    for v in core.cols:
+        obj -= Fraction(witness.values[v], core.d_y)
+    assert obj == witness.objective == value

@@ -31,7 +31,7 @@ from riccigraph import (
     run_experiment,
     girth_at_least,
     w1_dual_oracle,
-    w1_primal_value,
+    w1_primal,
     write_edge_list,
 )
 from conftest import (
@@ -53,7 +53,7 @@ def test_criterion_1_triple_agreement():
     for label, g in full_corpus():
         for u, v in g.edges():
             core = core_neighborhood(g, u, v)
-            primal = w1_primal_value(core)
+            primal = w1_primal(core)
             dual, _ = w1_dual_oracle(core, cap=ORACLE_CAP)
             assert primal == dual, (label, u, v)
             try:

@@ -6,6 +6,7 @@ import pytest
 from riccigraph import (
     Graph,
     NotApplicableError,
+    VerificationError,
     bipartite_upper_bound,
     core_neighborhood,
     curvature_all,
@@ -21,8 +22,9 @@ from riccigraph import (
     ricci_girth6_formula,
     ricci_lp,
     ricci_oracle,
-    w1_primal_value,
+    w1_dual_oracle,
 )
+from riccigraph import curvature
 from conftest import (
     cycle_graph,
     dodecahedron,
@@ -197,9 +199,7 @@ def test_oracle_route_agrees():
     g = generate_family("petersen", [])
     res = ricci_oracle(g, 0, 1)
     assert res.method == "oracle"
-    assert res.kappa == Fraction(-1, 3)
-    assert res.certificates.witness is not None
-    assert res.certificates.plan is None
+    assert res.kappa == Fraction(-1, 3) == kappa(g, 0, 1)
 
 
 def test_locality_under_distant_attachments():
@@ -318,15 +318,25 @@ def test_result_serialization():
     assert payload["bounds"]["cho_paeng_girth5"]["upper"] == "-1/3"
 
 
-def test_lp_certificates_attached_under_cap():
-    g = cycle_graph(6)
-    res = ricci_lp(g, 0, 1)
-    assert res.certificates.witness is not None
-    assert res.certificates.gap == 0
+def test_lp_oracle_cross_check_only_under_cap(monkeypatch):
+    calls = []
+
+    def counted(core, cap):
+        calls.append(len(core.vertices))
+        return w1_dual_oracle(core, cap)
+
+    monkeypatch.setattr(curvature, "w1_dual_oracle", counted)
+    assert ricci_lp(cycle_graph(6), 0, 1).kappa == 0
+    assert calls == [4]
     big = generate_family("complete_bipartite", [5, 5])
-    res = ricci_lp(big, 0, 5, cap=4)
-    assert res.certificates.witness is None
-    assert res.certificates.plan is not None
+    assert ricci_lp(big, 0, 5, cap=4).kappa == 0
+    assert calls == [4]
+
+
+def test_lp_oracle_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(curvature, "w1_dual_oracle", lambda core, cap: (Fraction(7), None))
+    with pytest.raises(VerificationError):
+        ricci_lp(cycle_graph(6), 0, 1)
 
 
 def test_kappa_range_bounds():

@@ -22,7 +22,6 @@ from riccigraph import (
     sample_tree_limit,
     two_coloring,
 )
-from riccigraph.randgraph import _marked_core_size
 
 
 def test_gnp_deterministic():
@@ -288,10 +287,11 @@ def test_experiment_csv_shape():
 
 
 def test_marked_core_size_matches_core():
-    for seed in range(15):
-        g = sample_gnp(60, 0.1, seed, (0, 1))
-        core = core_neighborhood(g, 0, 1)
-        assert _marked_core_size(g, 0, 1) == len(core.vertices)
+    for n, p in ((200, 0.01), (1000, 0.005), (80, 0.25)):
+        cfg = ExperimentConfig(model="gnp", n=n, p=p, replicates=8, seed=3)
+        for row in run_experiment(cfg).rows:
+            g = sample_gnp(n, p, replicate_seed(3, row.index), (0, 1))
+            assert row.core_size == len(core_neighborhood(g, 0, 1).vertices)
 
 
 def test_near_perfect_matching_dense():
