@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import GraphInputError, NotAnEdgeError
 
-MAX_VERTEX_ID = 2**31 - 1
+# Graph allocates one adjacency list per id up to the largest, so ids are
+# capped; 2**22 vertices still admit hypercube-20's 2**20.
+MAX_VERTEX_ID = 2**22 - 1
 
 # Largest vertex count for which a dense boolean adjacency matrix is cached.
 _DENSE_LIMIT = 4096
@@ -153,8 +155,9 @@ class Graph:
 def build_graph(edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from vertex-id pairs; vertex count is the largest id plus one.
 
-    Duplicate edges collapse, self-loops are rejected, ids above MAX_VERTEX_ID
-    are rejected.
+    Duplicate edges collapse and self-loops are rejected.  Ids above
+    MAX_VERTEX_ID (2**22 - 1) are rejected before anything is allocated, since
+    the graph holds one adjacency list for every id up to the largest.
     """
     pairs = []
     top = -1
@@ -163,7 +166,7 @@ def build_graph(edge_list: Iterable[tuple[int, int]]) -> Graph:
         if u < 0 or v < 0:
             raise GraphInputError(f"negative vertex id in edge ({u}, {v})")
         if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:
-            raise GraphInputError(f"vertex id overflow in edge ({u}, {v})")
+            raise GraphInputError(f"vertex id above {MAX_VERTEX_ID} in edge ({u}, {v})")
         pairs.append((u, v))
         top = max(top, u, v)
     return Graph(top + 1, pairs)
@@ -530,7 +533,9 @@ class CoreNeighborhood:
             r = np.fromiter(rows, dtype=np.int64)
             c = np.fromiter(cols, dtype=np.int64)
             sub = a[np.ix_(r, c)]
-            common = (a[r].astype(np.uint8) @ a[:, c].astype(np.uint8)) > 0
+            # A boolean product: True where a common neighbour exists.  An
+            # integer count in a narrow dtype would wrap (uint8 reads 256 as 0).
+            common = a[r] @ a[:, c]
             eq = r[:, None] == c[None, :]
             mat = np.where(eq, 0, np.where(sub, 1, np.where(common, 2, 3)))
             self._costs = mat.astype(int).tolist()

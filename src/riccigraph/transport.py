@@ -13,7 +13,6 @@ slackness and equal dual objective) before returning.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -39,13 +38,19 @@ def solve_transportation(
 
     cost is an R x C matrix of nonnegative integers, supply and demand are
     integer vectors with equal totals.  Successive shortest paths with node
-    potentials; after each Dijkstra pass a blocking flow is pushed through the
-    zero-reduced-cost subnetwork, so the number of Dijkstra passes is bounded
-    by the largest path cost rather than the flow value.  The final potentials
-    are an integer dual certificate and are checked against the primal cost
-    before returning.
+    potentials.  Reduced costs are nonnegative integers, so each Dijkstra pass
+    runs over Dial's bucket queue: nodes are settled one integer distance
+    level at a time, and each settled row relaxes every unsettled column
+    once.  After each pass blocking flows are pushed through the
+    zero-reduced-cost subnetwork, whose arcs are listed once per pass because
+    the potentials only change between passes; the number of passes is
+    bounded by the largest path cost rather than the flow value.  The final
+    potentials are an integer dual certificate and are checked against the
+    primal cost before returning.
     """
     nr, nc = len(supply), len(demand)
+    if len(cost) != nr or any(len(row) != nc for row in cost):
+        raise ValueError("cost matrix shape does not match supply and demand")
     if sum(supply) != sum(demand):
         raise ValueError("supply and demand totals differ")
     if any(s < 0 for s in supply) or any(d < 0 for d in demand):
@@ -57,52 +62,62 @@ def solve_transportation(
     # insertion-ordered set of rows with positive flow into each column
     back: list[dict[int, None]] = [dict() for _ in range(nc)]
     remaining = sum(supply)
+    unreached = float("inf")
 
     while remaining > 0:
-        # Dijkstra over the residual network from all rows with remaining supply.
-        dist: dict[int, int] = {}
-        heap = []
+        # Dijkstra from all rows with remaining supply over Dial's buckets:
+        # buckets[d] lists the nodes reached at distance d, and a node is
+        # settled the first time it is taken from a bucket.
+        dist = [unreached] * (nr + nc)
+        settled = [False] * (nr + nc)
+        buckets: dict[int, list[int]] = {0: []}
         for i in range(nr):
             if rem_s[i] > 0:
-                heapq.heappush(heap, (0, i))
+                dist[i] = 0
+                buckets[0].append(i)
+        col_pot = pot[nr:]
         target = -1
         dstar = 0
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = d
-            if node >= nr:
-                j = node - nr
-                if rem_d[j] > 0:
-                    target, dstar = j, d
-                    break
-                pj = pot[node]
-                for i in back[j]:
-                    w = pj - cost[i][j] - pot[i]
-                    if i not in dist:
-                        heapq.heappush(heap, (d + w, i))
-            else:
-                i = node
-                ci = cost[i]
-                pi = pot[i]
-                for j in range(nc):
-                    nj = nr + j
-                    if nj not in dist:
-                        w = ci[j] + pi - pot[nj]
-                        heapq.heappush(heap, (d + w, nj))
+        while buckets and target < 0:
+            d = min(buckets)
+            for node in buckets[d]:  # zero reduced-cost arcs append to this level
+                if settled[node]:
+                    continue
+                settled[node] = True
+                if node >= nr:
+                    j = node - nr
+                    if rem_d[j] > 0:
+                        target, dstar = j, d
+                        break
+                    pj = pot[node]
+                    for i in back[j]:
+                        nd = d + pj - cost[i][j] - pot[i]
+                        if nd < dist[i]:
+                            dist[i] = nd
+                            buckets.setdefault(nd, []).append(i)
+                else:
+                    # a settled column has distance <= d, so it never improves
+                    base = d + pot[node]
+                    for nj, c, p in zip(range(nr, nr + nc), cost[node], col_pot):
+                        nd = base + c - p
+                        if nd < dist[nj]:
+                            dist[nj] = nd
+                            buckets.setdefault(nd, []).append(nj)
+            del buckets[d]
         if target < 0:
             raise RuntimeError("transportation problem infeasible")
         for node in range(nr + nc):
-            dn = dist.get(node)
-            pot[node] += dn if dn is not None and dn <= dstar else dstar
+            dn = dist[node]
+            pot[node] += dn if dn <= dstar else dstar
 
-        # Push a blocking flow through the admissible (zero reduced cost) arcs.
+        # Push a blocking flow through the admissible (zero reduced cost)
+        # arcs; the potentials stay fixed until the next pass.
+        col_pot = pot[nr:]
+        adm = [
+            [j for j, c, p in zip(range(nc), ci, col_pot) if c + pi == p]
+            for ci, pi in zip(cost, pot)
+        ]
         while remaining > 0:
-            adm = [
-                [j for j in range(nc) if cost[i][j] + pot[i] - pot[nr + j] == 0]
-                for i in range(nr)
-            ]
             level = [-1] * (nr + nc)
             queue = []
             for i in range(nr):
@@ -194,15 +209,15 @@ def solve_transportation(
                         else:
                             ptr_col[path[-1] - nr] += 1
 
-    total = sum(
-        flow[i][j] * cost[i][j] for i in range(nr) for j in range(nc) if flow[i][j]
-    )
     # Certify optimality: potentials form a feasible dual with matching objective.
-    for i in range(nr):
-        for j in range(nc):
-            rc = cost[i][j] + pot[i] - pot[nr + j]
-            if rc < 0 or (flow[i][j] > 0 and rc != 0):
+    total = 0
+    col_pot = pot[nr:]
+    for ci, fi, pi in zip(cost, flow, pot):
+        for c, f, p in zip(ci, fi, col_pot):
+            rc = c + pi - p
+            if rc < 0 or (f > 0 and rc != 0):
                 raise RuntimeError("transport solver lost complementary slackness")
+            total += f * c
     dual = sum(demand[j] * pot[nr + j] for j in range(nc)) - sum(
         supply[i] * pot[i] for i in range(nr)
     )

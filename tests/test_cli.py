@@ -85,6 +85,24 @@ def test_exit_code_malformed_input(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_exit_code_vertex_id_above_limit(tmp_path, monkeypatch, capsys):
+    # The stand-in Graph records the vertex count instead of allocating one
+    # adjacency list per id, so only the rejection path can run for real.
+    from riccigraph import cli, graph
+
+    built = []
+    monkeypatch.setattr(graph, "Graph", lambda n, edges: built.append(n))
+    path = tmp_path / "huge.txt"
+    path.write_text("0 2147483647\n")
+    assert cli.main(["curvature", "--graph", str(path), "--all"]) == 2
+    out, err = capsys.readouterr()
+    assert built == [] and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    graph.build_graph([(0, graph.MAX_VERTEX_ID)])
+    assert built == [2**22]
+
+
 def test_exit_code_missing_file(tmp_path):
     proc = run_cli("girth", "--graph", str(tmp_path / "nope.txt"))
     assert proc.returncode == 2

@@ -18,6 +18,7 @@ from riccigraph import (
     write_edge_list,
 )
 from riccigraph.graph import components_within
+from riccigraph.randgraph import sample_gnp
 from conftest import cycle_graph, path_graph, random_tree, star_graph
 
 
@@ -229,6 +230,18 @@ def test_core_removes_triangle_to_pentagon_edges():
     core = core_neighborhood(g, 0, 1)
     idx = core.index
     assert core.local_distance()[idx[2]][idx[5]] >= 2
+
+
+@pytest.mark.parametrize("n, p, rows", [(150, 0.6, None), (400, 0.8, 5)])
+def test_dense_transport_costs_match_bfs(n, p, rows):
+    # Both cores take the numpy branch (rows x cols >= 2500).  In G(400, 0.8)
+    # two vertices share about 256 neighbours, where a uint8 count wraps to 0.
+    g = sample_gnp(n, p, 7, (0, 1))
+    core = core_neighborhood(g, 0, 1)
+    assert len(core.rows) * len(core.cols) >= 2500
+    for z1, row in list(zip(core.rows, core.transport_costs()))[:rows]:
+        dist = bfs_distance_capped(g, z1, 3)
+        assert row == [min(dist.get(z2, 3), 3) for z2 in core.cols]
 
 
 def test_generate_family_errors():

@@ -9,6 +9,7 @@ from riccigraph import (
     Graph,
     bfs_distance_capped,
     core_neighborhood,
+    curvature_bounds,
     ricci_formula,
     ricci_lp,
     w1_dual_oracle,
@@ -73,3 +74,12 @@ def test_kappa_invariant_under_relabelling(g, rnd: random.Random):
 def test_formula_equals_lp_where_it_applies(g):
     for u, v in g.edges():
         assert ricci_formula(g, u, v).kappa == ricci_lp(g, u, v).kappa
+
+
+@PROPERTY
+@given(graphs())
+def test_bounds_sandwich_lp(g):
+    for u, v in g.edges():
+        kappa = ricci_lp(g, u, v).kappa
+        for bp in curvature_bounds(g, u, v):
+            assert bp.lower <= kappa <= bp.upper, (u, v, bp.source)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import lcm
 
 import pytest
 
@@ -115,6 +116,38 @@ def test_transportation_input_errors():
         solve_transportation([[1]], [2], [3])
     with pytest.raises(ValueError):
         solve_transportation([[1]], [-1], [-1])
+    with pytest.raises(ValueError):
+        solve_transportation([[1, 2]], [1], [1])
+    with pytest.raises(ValueError):
+        solve_transportation([[1], [2]], [1], [1])
+
+
+def test_transportation_matches_highs():
+    # An independent float LP (scipy's HiGHS) on uniform supplies lcm/d; the
+    # transportation polytope is integral, so its optimum is an integer.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    import numpy as np
+
+    rng = random.Random(2024)
+    for k in range(60):
+        nr, nc = rng.randint(1, 40), rng.randint(1, 40)
+        top = 100 if k % 6 == 0 else 3
+        cost = [[rng.randint(0, top) for _ in range(nc)] for _ in range(nr)]
+        scale = lcm(nr, nc)
+        supply, demand = [scale // nr] * nr, [scale // nc] * nc
+        total, _ = solve_transportation(cost, supply, demand)
+        rows_eq = np.kron(np.eye(nr), np.ones((1, nc)))
+        cols_eq = np.kron(np.ones((1, nr)), np.eye(nc))
+        res = linprog(
+            np.array(cost, dtype=float).ravel(),
+            A_eq=np.vstack([rows_eq, cols_eq]),
+            b_eq=supply + demand,
+            bounds=(0, None),
+            method="highs",
+        )
+        assert res.status == 0, res.message
+        assert abs(res.fun - round(res.fun)) < 1e-6
+        assert round(res.fun) == total
 
 
 def test_transportation_long_alternating_path():
