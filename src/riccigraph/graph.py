@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -54,34 +55,38 @@ class Graph:
 
     @classmethod
     def from_arrays(cls, vertex_count: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
-        """Fast constructor from parallel endpoint arrays (used by the samplers)."""
-        g = cls.__new__(cls)
+        """Fast constructor from parallel integer endpoint arrays (used by the samplers).
+
+        The edges may come in any order and orientation, and duplicates
+        collapse.  Each edge becomes two arc keys u * n + v, and one sort of
+        those keys lays every vertex's neighbours out as a contiguous
+        ascending run.
+        """
         if vertex_count < 0 or vertex_count > MAX_VERTEX_ID + 1:
             raise GraphInputError(f"bad vertex count {vertex_count}")
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+        us = np.asarray(us)
+        vs = np.asarray(vs)
+        for a in (us, vs):
+            if a.size and not np.issubdtype(a.dtype, np.integer):
+                raise GraphInputError(f"vertex ids must be integers, got dtype {a.dtype}")
+        us = us.astype(np.int64, copy=False)
+        vs = vs.astype(np.int64, copy=False)
         if us.size and (us == vs).any():
             raise GraphInputError("self-loop in edge arrays")
         if us.size and (
             us.min() < 0 or vs.min() < 0 or us.max() >= vertex_count or vs.max() >= vertex_count
         ):
             raise GraphInputError("edge endpoint outside vertex range")
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        packed = np.unique(lo * vertex_count + hi)
-        lo = packed // vertex_count
-        hi = packed % vertex_count
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order].tolist()
-        bounds = np.searchsorted(src, np.arange(vertex_count + 1))
-        g._n = vertex_count
-        g._adj = tuple(
-            tuple(dst[bounds[v] : bounds[v + 1]]) for v in range(vertex_count)
-        )
-        g._edge_count = len(packed)
+        n = vertex_count
+        # keys stay below 2**44 since n <= 2**22
+        keys = np.sort(np.concatenate([us * n + vs, vs * n + us]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        dst = (keys % n).tolist()
+        bounds = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
+        g = cls.__new__(cls)
+        g._n = n
+        g._adj = tuple(tuple(dst[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        g._edge_count = len(keys) // 2
         g._dense = None
         g._facts = {}
         return g
@@ -122,17 +127,22 @@ class Graph:
         return tuple(len(a) for a in self._adj)
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency, cached.  Only for graphs up to _DENSE_LIMIT vertices."""
+        """Dense boolean adjacency, cached.  Only for graphs up to _DENSE_LIMIT vertices.
+
+        Filled in one scatter: row u repeated deg(u) times against the
+        concatenated adjacency tuples, whichever constructor built the graph.
+        """
         if self._dense is None:
             if self._n > _DENSE_LIMIT:
                 raise GraphInputError(
                     f"dense adjacency refused for {self._n} vertices (limit {_DENSE_LIMIT})"
                 )
             a = np.zeros((self._n, self._n), dtype=bool)
-            for u in range(self._n):
-                nb = self._adj[u]
-                if nb:
-                    a[u, list(nb)] = True
+            rows = np.repeat(np.arange(self._n), self.degrees())
+            cols = np.fromiter(
+                chain.from_iterable(self._adj), dtype=np.int64, count=2 * self._edge_count
+            )
+            a[rows, cols] = True
             self._dense = a
         return self._dense
 

@@ -22,11 +22,15 @@ import numpy as np
 
 from .curvature import ricci_auto
 from .errors import GraphInputError, RegimeUndeterminedError
-from .graph import CoreNeighborhood, Graph, core_neighborhood
+from .graph import MAX_VERTEX_ID, CoreNeighborhood, Graph, core_neighborhood
 from .rationals import format_rational, positive_part
 
 DEFAULT_SIZE_BUDGET = 250_000
 DEFAULT_REFERENCE_SAMPLES = 100_000
+
+# Samplers refuse a model whose expected edge count exceeds this, before any
+# index array is allocated; the canonical regimes expect at most 600k edges.
+MAX_SAMPLED_EDGES = 2**23
 
 # spawn key reserved for auxiliary streams (replicate indices stay below 2^32)
 _AUX_STREAM = 1 << 32
@@ -69,6 +73,15 @@ def _bernoulli_indices(rng: np.random.Generator, count: int, p: float) -> np.nda
     return np.concatenate(chunks)
 
 
+def _check_sample_size(vertices: int, pairs: int, p: float) -> None:
+    if vertices > MAX_VERTEX_ID + 1:
+        raise GraphInputError(f"{vertices} vertices exceed the limit of {MAX_VERTEX_ID + 1}")
+    if pairs * p > MAX_SAMPLED_EDGES:
+        raise GraphInputError(
+            f"expected {pairs * p:.4g} edges exceed the sampler limit of {MAX_SAMPLED_EDGES}"
+        )
+
+
 def _unpack_pairs(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # pair index k = j(j-1)/2 + i with 0 <= i < j; float estimate of j fixed
     # up by at most one step either way
@@ -86,8 +99,9 @@ def sample_gnp(n: int, p: float, seed: int, mark: tuple[int, int]) -> Graph:
         raise GraphInputError(f"edge probability {p} outside [0, 1]")
     if not (0 <= a < n and 0 <= b < n) or a == b:
         raise GraphInputError(f"marked edge ({a}, {b}) invalid for {n} vertices")
-    rng = _generator(seed)
-    ks = _bernoulli_indices(rng, n * (n - 1) // 2, float(p))
+    pairs = n * (n - 1) // 2
+    _check_sample_size(n, pairs, float(p))
+    ks = _bernoulli_indices(_generator(seed), pairs, float(p))
     us, vs = _unpack_pairs(ks)
     lo, hi = min(a, b), max(a, b)
     us = np.append(us, lo)
@@ -105,8 +119,8 @@ def sample_bipartite(m: int, n: int, p: float, seed: int, mark: tuple[int, int])
             f"marked edge ({a}, {b}) must join the left side [0, {m}) "
             f"to the right side [{m}, {m + n})"
         )
-    rng = _generator(seed)
-    ks = _bernoulli_indices(rng, m * n, float(p))
+    _check_sample_size(m + n, m * n, float(p))
+    ks = _bernoulli_indices(_generator(seed), m * n, float(p))
     us = ks // n
     vs = m + ks % n
     us = np.append(us, a)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from riccigraph import __version__, generate_family, parse_edge_list, write_edge_list
 
 
@@ -101,6 +103,30 @@ def test_exit_code_vertex_id_above_limit(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     graph.build_graph([(0, graph.MAX_VERTEX_ID)])
     assert built == [2**22]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "gnp", "--n", "200000", "--p", "0.5"],
+        ["--model", "gnp", "--n", str(2**22 + 1), "--p", "1e-12"],
+        ["--model", "bipartite", "--n", str(2**22), "--p", "1e-12"],
+    ],
+)
+def test_exit_code_sampler_too_large(monkeypatch, capsys, argv):
+    # The stand-in records calls instead of drawing the Bernoulli positions,
+    # so a missing guard shows as a call, not as a huge allocation.
+    from riccigraph import cli, randgraph
+
+    drawn = []
+    monkeypatch.setattr(
+        randgraph, "_bernoulli_indices", lambda rng, count, p: drawn.append(count)
+    )
+    assert cli.main(["experiment", *argv, "--replicates", "1", "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert drawn == [] and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_exit_code_missing_file(tmp_path):

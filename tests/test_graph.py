@@ -267,3 +267,24 @@ def test_family_shapes():
     assert k.edge_count == 10
     colors, _ = two_coloring(k)
     assert colors is not None
+
+
+def test_from_arrays_rejects_bad_input():
+    import numpy as np
+
+    for n, us, vs in (
+        (3, [0.7, 1.2], [1.9, 2.0]),
+        (3, np.array([0, 1]), np.array([1.0, 2.0])),
+        (3, np.array([True]), np.array([False])),
+        (3, [0, 1], [1, 1]),
+        (3, [0], [3]),
+        (3, [-1], [2]),
+        (-1, [], []),
+        (2**22 + 1, [], []),
+    ):
+        with pytest.raises(GraphInputError):
+            Graph.from_arrays(n, us, vs)
+    g = Graph.from_arrays(3, np.array([2, 1, 0, 1], dtype=np.uint8), np.array([1, 2, 1, 0]))
+    assert g.neighbors(1) == (0, 2) and g.edge_count == 2
+    assert Graph.from_arrays(0, [], []).edge_count == 0
+    assert Graph.from_arrays(1, [], []).degrees() == (0,)

@@ -2,7 +2,8 @@
 
 import random
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riccigraph import (
@@ -10,9 +11,11 @@ from riccigraph import (
     bfs_distance_capped,
     core_neighborhood,
     curvature_bounds,
+    parse_edge_list,
     ricci_formula,
     ricci_lp,
     w1_dual_oracle,
+    write_edge_list,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -42,6 +45,47 @@ def formula_graphs(draw, nmax=12):
         if v not in bfs_distance_capped(Graph(n, edges), u, 3):
             edges.append((u, v))
     return Graph(n, edges)
+
+
+@st.composite
+def edge_arrays(draw, nmax=12):
+    """(n, us, vs) on 0..nmax vertices, with isolated vertices and repeated edges.
+
+    The arc u -> u + d (mod n) gives both orientations of an edge across draws.
+    """
+    n = draw(st.integers(min_value=0, max_value=nmax))
+    if n < 2:
+        return n, [], []
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=4 * n))
+    return n, [u for u, _ in arcs], [(u + d) % n for u, d in arcs]
+
+
+def _matrix_from_edges(g):
+    a = np.zeros((g.vertex_count, g.vertex_count), dtype=bool)
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = True
+    return a
+
+
+@PROPERTY
+@given(edge_arrays())
+@example((0, [], []))
+@example((1, [], []))
+@example((3, [0, 1, 1, 2, 0], [1, 0, 2, 1, 1]))
+def test_from_arrays_matches_constructor(case):
+    n, us, vs = case
+    fast = Graph.from_arrays(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
+    slow = Graph(n, zip(us, vs))
+    assert fast.edge_count == slow.edge_count
+    assert all(fast.neighbors(v) == slow.neighbors(v) for v in range(n))
+    for g in (fast, slow):
+        assert np.array_equal(g.adjacency_matrix(), _matrix_from_edges(g))
+
+
+@PROPERTY
+@given(graphs())
+def test_edge_list_round_trip(g):
+    assert list(parse_edge_list(write_edge_list(g)).edges()) == list(g.edges())
 
 
 @PROPERTY

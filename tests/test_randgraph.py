@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from riccigraph import (
     sample_gnp,
     sample_tree_limit,
     two_coloring,
+    write_edge_list,
 )
 
 
@@ -323,3 +325,19 @@ def test_near_perfect_matching_sparse():
         if max_matching(inst, stop_at=450).size >= 450:
             hits += 1
     assert hits <= 5
+
+
+def test_sampler_bytes_pinned():
+    # Digests of the edge-list text of seeded samples; any change to the
+    # samplers or to Graph.from_arrays that alters a graph changes them.
+    def digest(g):
+        return hashlib.sha256(write_edge_list(g).encode()).hexdigest()
+
+    assert [digest(sample_gnp(400, 0.5, replicate_seed(7, r), (0, 1))) for r in (0, 1)] == [
+        "6dc3fda3875b81c2b11bb65b4aad0a41c22d8afb62eb1adf589ef73f51490db9",
+        "9c1d041ac6b73169e822b2a59c128c9298605426eba33c06cab477336677333e",
+    ]
+    assert (
+        digest(sample_bipartite(300, 300, 0.15, replicate_seed(7, 0), (0, 300)))
+        == "bfe3eca4c3b90fc7a1d1ed79deb9bac41dbab5b75d18dc004b9b0811242af104"
+    )
