@@ -44,7 +44,6 @@ from .matching import (
     MatchingInstance,
     MatchingResult,
     has_perfect_matching_between_neighborhoods,
-    hall_deficiency_bruteforce,
     matching_lower_bound,
     max_matching,
     two_matching_lower_bound,

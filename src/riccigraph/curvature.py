@@ -326,7 +326,7 @@ def curvature_bounds(
     if g.is_bipartite():
         bounds.append(bipartite_upper_bound(g, x, y, core=core))
     if g.has_girth_5():
-        delta_min = min(g.degrees(), default=0)
+        delta_min = g.min_degree()
         if delta_min >= 1:
             bounds.append(
                 BoundPair(

@@ -21,75 +21,76 @@ from .errors import GraphInputError, NotAnEdgeError
 # capped; 2**22 vertices still admit hypercube-20's 2**20.
 MAX_VERTEX_ID = 2**22 - 1
 
+# The samplers and `generate_family` refuse to build more edges than this
+# before anything is allocated; the canonical regimes expect at most 600k
+# edges.  Hypercube-20, bounded by its own dimension check, is larger.
+MAX_EDGES = 2**23
+
 # Largest vertex count for which a dense boolean adjacency matrix is cached.
 _DENSE_LIMIT = 4096
 
 
 class Graph:
-    """Undirected simple graph with sorted, immutable adjacency lists."""
+    """Undirected simple graph with sorted, immutable adjacency lists.
+
+    Graph(n, edges) takes (u, v) pairs and Graph.from_arrays takes parallel
+    endpoint arrays; both go through one builder, so they accept and reject
+    the same edges with the same messages.  Edges may come in any order and
+    orientation, and duplicates collapse.
+    """
 
     __slots__ = ("_n", "_adj", "_edge_count", "_dense", "_facts")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
-        if vertex_count < 0 or vertex_count > MAX_VERTEX_ID + 1:
-            raise GraphInputError(f"bad vertex count {vertex_count}")
-        self._n = vertex_count
-        seen = set()
-        for u, v in edges:
-            if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
-                raise GraphInputError(f"vertex ids must be integers, got ({u!r}, {v!r})")
-            u, v = int(u), int(v)
-            if u == v:
-                raise GraphInputError(f"self-loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise GraphInputError(f"edge ({u}, {v}) outside vertex range 0..{vertex_count - 1}")
-            seen.add((u, v) if u < v else (v, u))
-        lists: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in seen:
-            lists[u].append(v)
-            lists[v].append(u)
-        self._adj = tuple(tuple(sorted(l)) for l in lists)
-        self._edge_count = len(seen)
-        self._dense = None
-        self._facts = {}
+        pairs = list(edges)
+        try:
+            arr = np.array(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
+        except ValueError:
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
+            raise GraphInputError("every edge must be a (u, v) pair")
+        self._build(vertex_count, arr[:, 0], arr[:, 1])
 
     @classmethod
     def from_arrays(cls, vertex_count: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
-        """Fast constructor from parallel integer endpoint arrays (used by the samplers).
+        """Graph from parallel 1-D integer endpoint arrays of equal length (used by
+        the samplers); the same checks and messages as Graph(n, edges)."""
+        g = cls.__new__(cls)
+        g._build(vertex_count, us, vs)
+        return g
 
-        The edges may come in any order and orientation, and duplicates
-        collapse.  Each edge becomes two arc keys u * n + v, and one sort of
-        those keys lays every vertex's neighbours out as a contiguous
-        ascending run.
-        """
-        if vertex_count < 0 or vertex_count > MAX_VERTEX_ID + 1:
-            raise GraphInputError(f"bad vertex count {vertex_count}")
+    def _build(self, n: int, us, vs) -> None:
+        # The one path from endpoints to a Graph.  Each edge becomes two arc
+        # keys u * n + v, and one sort of those keys lays every vertex's
+        # neighbours out as a contiguous ascending run.
+        if n < 0 or n > MAX_VERTEX_ID + 1:
+            raise GraphInputError(f"bad vertex count {n}")
         us = np.asarray(us)
         vs = np.asarray(vs)
         for a in (us, vs):
             if a.size and not np.issubdtype(a.dtype, np.integer):
                 raise GraphInputError(f"vertex ids must be integers, got dtype {a.dtype}")
+        if us.ndim != 1 or vs.ndim != 1 or us.shape != vs.shape:
+            raise GraphInputError(f"endpoint shapes {us.shape} and {vs.shape} are not equal 1-D")
         us = us.astype(np.int64, copy=False)
         vs = vs.astype(np.int64, copy=False)
-        if us.size and (us == vs).any():
-            raise GraphInputError("self-loop in edge arrays")
-        if us.size and (
-            us.min() < 0 or vs.min() < 0 or us.max() >= vertex_count or vs.max() >= vertex_count
-        ):
-            raise GraphInputError("edge endpoint outside vertex range")
-        n = vertex_count
+        loops = np.flatnonzero(us == vs)
+        if loops.size:
+            raise GraphInputError(f"self-loop at vertex {us[loops[0]]}")
+        outside = np.flatnonzero((us < 0) | (us >= n) | (vs < 0) | (vs >= n))
+        if outside.size:
+            i = outside[0]
+            raise GraphInputError(f"edge ({us[i]}, {vs[i]}) outside vertex range 0..{n - 1}")
         # keys stay below 2**44 since n <= 2**22
         keys = np.sort(np.concatenate([us * n + vs, vs * n + us]))
         keys = keys[np.diff(keys, prepend=-1) != 0]
         dst = (keys % n).tolist()
         bounds = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
-        g = cls.__new__(cls)
-        g._n = n
-        g._adj = tuple(tuple(dst[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-        g._edge_count = len(keys) // 2
-        g._dense = None
-        g._facts = {}
-        return g
+        self._n = n
+        self._adj = tuple(tuple(dst[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        self._edge_count = len(keys) // 2
+        self._dense = None
+        self._facts = {}
 
     @property
     def vertex_count(self) -> int:
@@ -157,6 +158,12 @@ class Graph:
         if "girth5" not in self._facts:
             self._facts["girth5"] = girth_at_least(self, 5)
         return self._facts["girth5"]
+
+    def min_degree(self) -> int:
+        """Least degree, 0 without vertices; scanned on first use, then cached."""
+        if "min_degree" not in self._facts:
+            self._facts["min_degree"] = min(self.degrees(), default=0)
+        return self._facts["min_degree"]
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self._n}, edges={self._edge_count})"
@@ -436,23 +443,26 @@ def neighbor_partition(g: Graph, x: int, y: int) -> NeighborPartition:
     ny = frozenset(g.neighbors(y))
     delta = nx & ny
 
-    def split(side_nbrs, other_nbrs, self_v, other_v):
-        targets = frozenset(other_nbrs - {self_v})
+    def split(self_v, other_v, other_nbrs):
+        # the neighbour tuple is ascending, so each part comes out sorted
+        targets = other_nbrs - {self_v}
         n0, n1, n2 = [], [], []
-        for z in sorted(side_nbrs - {other_v} - delta):
+        for z in g.neighbors(self_v):
+            if z == other_v or z in delta:
+                continue
             t = _classify_distance(g, z, targets)
             (n1 if t == 1 else n2 if t == 2 else n0).append(z)
         return tuple(n0), tuple(n1), tuple(n2)
 
-    n0x, n1x, n2x = split(nx, ny, x, y)
-    n0y, n1y, n2y = split(ny, nx, y, x)
+    n0x, n1x, n2x = split(x, y, ny)
+    n0y, n1y, n2y = split(y, x, nx)
     dist_x = bfs_distance_capped(g, x, 2)
     dist_y = bfs_distance_capped(g, y, 2)
     p = tuple(
         sorted(v for v, d in dist_x.items() if d == 2 and dist_y.get(v) == 2)
     )
     return NeighborPartition(
-        x=x, y=y, delta=tuple(sorted(delta)),
+        x=x, y=y, delta=tuple(z for z in g.neighbors(x) if z in delta),
         n0_x=n0x, n1_x=n1x, n2_x=n2x,
         n0_y=n0y, n1_y=n1y, n2_y=n2y,
         p_xy=p,
@@ -492,12 +502,12 @@ class CoreNeighborhood:
     @property
     def rows(self) -> tuple[int, ...]:
         """Sorted N(x), the support of the measure at x."""
-        return tuple(sorted(self.graph.neighbors(self.x)))
+        return self.graph.neighbors(self.x)
 
     @property
     def cols(self) -> tuple[int, ...]:
         """Sorted N(y), the support of the measure at y."""
-        return tuple(sorted(self.graph.neighbors(self.y)))
+        return self.graph.neighbors(self.y)
 
     @property
     def d_x(self) -> int:
@@ -631,14 +641,17 @@ def _family_petersen() -> Graph:
     return Graph(10, edges)
 
 
+# name -> (parameter count, builder, (vertices, edges) read off the
+# parameters).  Hypercube is bounded by its own dimension check and Petersen
+# is fixed, so neither has a size.
 _FAMILIES = {
-    "path": (1, _family_path),
-    "cycle": (1, _family_cycle),
-    "star": (1, _family_star),
-    "hypercube": (1, _family_hypercube),
-    "complete_bipartite": (2, _family_complete_bipartite),
-    "complete": (1, _family_complete),
-    "petersen": (0, _family_petersen),
+    "path": (1, _family_path, lambda n: (n, n - 1)),
+    "cycle": (1, _family_cycle, lambda n: (n, n)),
+    "star": (1, _family_star, lambda n: (n + 1, n)),
+    "hypercube": (1, _family_hypercube, None),
+    "complete_bipartite": (2, _family_complete_bipartite, lambda p, q: (p + q, p * q)),
+    "complete": (1, _family_complete, lambda n: (n, n * (n - 1) // 2)),
+    "petersen": (0, _family_petersen, None),
 }
 
 
@@ -647,12 +660,23 @@ def generate_family(name: str, params: Iterable[int] = ()) -> Graph:
 
     Families and parameters: path n, cycle n, star n (n leaves), hypercube d,
     complete_bipartite p q, complete n, petersen.  Vertex numbering is the
-    canonical one documented on each builder.
+    canonical one documented on each builder.  A member with more than
+    MAX_VERTEX_ID + 1 vertices or more than MAX_EDGES edges is refused before
+    its edge list is built.
     """
     if name not in _FAMILIES:
         raise GraphInputError(f"unknown family {name!r}")
-    arity, builder = _FAMILIES[name]
+    arity, builder, size = _FAMILIES[name]
     args = [int(p) for p in params]
     if len(args) != arity:
         raise GraphInputError(f"family {name!r} expects {arity} parameter(s), got {len(args)}")
+    # a non-positive parameter is left to the builder's own error
+    if size is not None and min(args) > 0:
+        vertices, edges = size(*args)
+        if vertices > MAX_VERTEX_ID + 1:
+            raise GraphInputError(
+                f"{name} with {vertices} vertices exceeds the limit of {MAX_VERTEX_ID + 1}"
+            )
+        if edges > MAX_EDGES:
+            raise GraphInputError(f"{name} with {edges} edges exceeds the limit of {MAX_EDGES}")
     return builder(*args)

@@ -3,8 +3,7 @@
 Curvature lower bounds come from matchings in the core: adjacent pairs
 (1-matchings) between Q(x) = N(x)\\Delta and Q(y) = N(y)\\Delta, and
 distance-<=2 pairs (2-matchings) between the endpoint-free sets R(x), R(y).
-Q keeps the opposite endpoint (y in Q(x), x in Q(y)); R drops both.  The
-Hall-deficiency scan is an independent oracle for the matching size.
+Q keeps the opposite endpoint (y in Q(x), x in Q(y)); R drops both.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ from fractions import Fraction
 
 from .errors import GraphInputError, NotApplicableError
 from .graph import CoreNeighborhood, Graph, core_neighborhood, neighbor_partition
-
-HALL_SCAN_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class BoundPair:
@@ -45,7 +41,6 @@ class MatchingInstance:
 class MatchingResult:
     pairs: tuple[tuple[int, int], ...]
     size: int
-    deficiency: int | None = None
 
 
 def _augment(a0: int, adj: dict[int, list[int]], match_r: dict[int, int], seen: set) -> bool:
@@ -113,36 +108,12 @@ def max_matching(inst: MatchingInstance, stop_at: int | None = None) -> Matching
     return MatchingResult(pairs=pairs, size=size)
 
 
-def hall_deficiency_bruteforce(inst: MatchingInstance) -> int:
-    """delta_max = max over X subseteq left of |X| - |N(X)|, by full subset scan."""
-    lefts = sorted(inst.left)
-    k = len(lefts)
-    if k > HALL_SCAN_LIMIT:
-        raise GraphInputError(
-            f"left side has {k} vertices, subset scan capped at {HALL_SCAN_LIMIT}"
-        )
-    rindex = {b: i for i, b in enumerate(sorted(inst.right))}
-    lindex = {a: i for i, a in enumerate(lefts)}
-    masks = [0] * k
-    for a, b in inst.adjacency:
-        masks[lindex[a]] |= 1 << rindex[b]
-    nbr = [0] * (1 << k)
-    best = 0
-    for s in range(1, 1 << k):
-        low = s & -s
-        nbr[s] = nbr[s ^ low] | masks[low.bit_length() - 1]
-        d = s.bit_count() - nbr[s].bit_count()
-        if d > best:
-            best = d
-    return best
-
-
 def _q_instance(g: Graph, x: int, y: int, delta: frozenset) -> MatchingInstance:
     # Q(x) against Q(y), paired when adjacent
-    qx = tuple(v for v in sorted(g.neighbors(x)) if v not in delta)
-    qy = tuple(v for v in sorted(g.neighbors(y)) if v not in delta)
+    qx = tuple(v for v in g.neighbors(x) if v not in delta)
+    qy = tuple(v for v in g.neighbors(y) if v not in delta)
     qy_set = set(qy)
-    pairs = tuple((a, b) for a in qx for b in sorted(set(g.neighbors(a)) & qy_set))
+    pairs = tuple((a, b) for a in qx for b in g.neighbors(a) if b in qy_set)
     return MatchingInstance(left=qx, right=qy, adjacency=pairs)
 
 
@@ -181,8 +152,8 @@ def two_matching_lower_bound(
     t = len(delta)
     dx, dy = g.degree(x), g.degree(y)
     dmax = max(dx, dy)
-    rx = tuple(v for v in sorted(g.neighbors(x)) if v != y and v not in delta)
-    ry = tuple(v for v in sorted(g.neighbors(y)) if v != x and v not in delta)
+    rx = tuple(v for v in g.neighbors(x) if v != y and v not in delta)
+    ry = tuple(v for v in g.neighbors(y) if v != x and v not in delta)
     dist = core.local_distance()
     idx = core.index
     pairs = tuple(

@@ -22,15 +22,11 @@ import numpy as np
 
 from .curvature import ricci_auto
 from .errors import GraphInputError, RegimeUndeterminedError
-from .graph import MAX_VERTEX_ID, CoreNeighborhood, Graph, core_neighborhood
+from .graph import MAX_EDGES, MAX_VERTEX_ID, CoreNeighborhood, Graph, core_neighborhood
 from .rationals import format_rational, positive_part
 
 DEFAULT_SIZE_BUDGET = 250_000
 DEFAULT_REFERENCE_SAMPLES = 100_000
-
-# Samplers refuse a model whose expected edge count exceeds this, before any
-# index array is allocated; the canonical regimes expect at most 600k edges.
-MAX_SAMPLED_EDGES = 2**23
 
 # spawn key reserved for auxiliary streams (replicate indices stay below 2^32)
 _AUX_STREAM = 1 << 32
@@ -76,9 +72,9 @@ def _bernoulli_indices(rng: np.random.Generator, count: int, p: float) -> np.nda
 def _check_sample_size(vertices: int, pairs: int, p: float) -> None:
     if vertices > MAX_VERTEX_ID + 1:
         raise GraphInputError(f"{vertices} vertices exceed the limit of {MAX_VERTEX_ID + 1}")
-    if pairs * p > MAX_SAMPLED_EDGES:
+    if pairs * p > MAX_EDGES:
         raise GraphInputError(
-            f"expected {pairs * p:.4g} edges exceed the sampler limit of {MAX_SAMPLED_EDGES}"
+            f"expected {pairs * p:.4g} edges exceed the sampler limit of {MAX_EDGES}"
         )
 
 
@@ -205,29 +201,24 @@ def regime_limit(model: str, n: int, p) -> RegimeLimit:
     s2 = n * pf * pf
     s3 = n * n * pf**3
     if model == "gnp":
-        if pf >= 0.25:
-            return RegimeLimit(kind="constant", value=_exact_probability(p), regime="f")
-        if s1 < 0.05:
-            return RegimeLimit(kind="isolated_edge", value=Fraction(0), regime="a")
-        if 0.5 <= s1 <= 8 and s2 < 0.1:
-            lam = float(n * _exact_probability(p))
-            return RegimeLimit(kind="tree_distribution", lam=lam, regime="b")
-        if s1 > 20 and s3 < 0.2:
-            return RegimeLimit(kind="constant", value=Fraction(-2), regime="c")
-        if s3 > 20 and s2 < 0.1:
-            return RegimeLimit(kind="constant", value=Fraction(-1), regime="d")
-        if s2 > 20 and pf < 0.05:
-            return RegimeLimit(kind="constant", value=Fraction(0), regime="e")
+        bands = (
+            ("f", pf >= 0.25),
+            ("a", s1 < 0.05),
+            ("b", 0.5 <= s1 <= 8 and s2 < 0.1),
+            ("c", s1 > 20 and s3 < 0.2),
+            ("d", s3 > 20 and s2 < 0.1),
+            ("e", s2 > 20 and pf < 0.05),
+        )
     else:
-        if s1 < 0.05:
-            return RegimeLimit(kind="isolated_edge", value=Fraction(0), regime="a")
-        if 0.5 <= s1 <= 8 and s2 < 0.1:
-            lam = float(n * _exact_probability(p))
-            return RegimeLimit(kind="tree_distribution", lam=lam, regime="b")
-        if s1 > 20 and s2 < 0.1:
-            return RegimeLimit(kind="constant", value=Fraction(-2), regime="c")
-        if s2 > 20:
-            return RegimeLimit(kind="constant", value=Fraction(0), regime="d")
+        bands = (
+            ("a", s1 < 0.05),
+            ("b", 0.5 <= s1 <= 8 and s2 < 0.1),
+            ("c", s1 > 20 and s2 < 0.1),
+            ("d", s2 > 20),
+        )
+    for letter, inside in bands:
+        if inside:
+            return regime_descriptor(model, letter, n, p)
     raise RegimeUndeterminedError(
         f"scalings np={s1:.4g}, np^2={s2:.4g}, n^2p^3={s3:.4g} sit between "
         "regime bands; name the regime explicitly"
@@ -240,35 +231,21 @@ _BIPARTITE_REGIMES = {"a", "b", "c", "d"}
 
 def regime_descriptor(model: str, regime: str, n: int, p) -> RegimeLimit:
     """Limit descriptor for an explicitly named regime (no threshold test)."""
-    if model == "gnp":
-        if regime not in _GNP_REGIMES:
-            raise GraphInputError(f"unknown gnp regime {regime!r}")
-        if regime == "a":
-            return RegimeLimit(kind="isolated_edge", value=Fraction(0), regime="a")
-        if regime == "b":
-            return RegimeLimit(
-                kind="tree_distribution", lam=float(n * _exact_probability(p)), regime="b"
-            )
-        if regime == "c":
-            return RegimeLimit(kind="constant", value=Fraction(-2), regime="c")
-        if regime == "d":
-            return RegimeLimit(kind="constant", value=Fraction(-1), regime="d")
-        if regime == "e":
-            return RegimeLimit(kind="constant", value=Fraction(0), regime="e")
+    if model not in ("gnp", "bipartite"):
+        raise GraphInputError(f"unknown model {model!r}")
+    if regime not in (_GNP_REGIMES if model == "gnp" else _BIPARTITE_REGIMES):
+        raise GraphInputError(f"unknown {model} regime {regime!r}")
+    if regime == "a":
+        return RegimeLimit(kind="isolated_edge", value=Fraction(0), regime="a")
+    if regime == "b":
+        return RegimeLimit(
+            kind="tree_distribution", lam=float(n * _exact_probability(p)), regime="b"
+        )
+    if regime == "f":
         return RegimeLimit(kind="constant", value=_exact_probability(p), regime="f")
-    if model == "bipartite":
-        if regime not in _BIPARTITE_REGIMES:
-            raise GraphInputError(f"unknown bipartite regime {regime!r}")
-        if regime == "a":
-            return RegimeLimit(kind="isolated_edge", value=Fraction(0), regime="a")
-        if regime == "b":
-            return RegimeLimit(
-                kind="tree_distribution", lam=float(n * _exact_probability(p)), regime="b"
-            )
-        if regime == "c":
-            return RegimeLimit(kind="constant", value=Fraction(-2), regime="c")
-        return RegimeLimit(kind="constant", value=Fraction(0), regime="d")
-    raise GraphInputError(f"unknown model {model!r}")
+    # c is -2 in both models; d is -1 in G(n, p) and 0 in G(n, n, p); e is 0
+    value = {"c": -2, "d": -1 if model == "gnp" else 0, "e": 0}[regime]
+    return RegimeLimit(kind="constant", value=Fraction(value), regime=regime)
 
 
 # Default (n, p) per named regime.  The trend regimes (c)-(e) use scalings

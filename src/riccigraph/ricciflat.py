@@ -33,34 +33,22 @@ def is_ricci_flat(g: Graph, *, cap: int = DEFAULT_ORACLE_CAP) -> FlatnessReport:
     edge-local, so each component stands alone).
     """
     components = connected_components(g)
-    if len(components) > 1:
-        sub = []
-        overall_witness = None
-        members: dict[int, int] = {}
-        for ci, comp in enumerate(components):
-            for v in comp:
-                members[v] = ci
-        witnesses: dict[int, tuple[int, int]] = {}
-        for u, v in g.edges():
-            ci = members[u]
-            if ci in witnesses:
-                continue
-            if ricci_auto(g, u, v, cap=cap).kappa != 0:
-                witnesses[ci] = (u, v)
-                if overall_witness is None:
-                    overall_witness = (u, v)
-        for ci in range(len(components)):
-            w = witnesses.get(ci)
-            sub.append(FlatnessReport(is_flat=w is None, witness_edge=w))
-        return FlatnessReport(
-            is_flat=overall_witness is None,
-            witness_edge=overall_witness,
-            component_reports=tuple(sub),
-        )
+    member = {v: ci for ci, comp in enumerate(components) for v in comp}
+    witnesses: dict[int, tuple[int, int]] = {}
     for u, v in g.edges():
-        if ricci_auto(g, u, v, cap=cap).kappa != 0:
-            return FlatnessReport(is_flat=False, witness_edge=(u, v))
-    return FlatnessReport(is_flat=True, witness_edge=None)
+        if len(witnesses) == len(components):
+            break
+        if member[u] not in witnesses and ricci_auto(g, u, v, cap=cap).kappa != 0:
+            witnesses[member[u]] = (u, v)
+    # edges come in lexicographic order, so the least witness is the first found
+    first = min(witnesses.values(), default=None)
+    sub = None
+    if len(components) > 1:
+        sub = tuple(
+            FlatnessReport(is_flat=ci not in witnesses, witness_edge=witnesses.get(ci))
+            for ci in range(len(components))
+        )
+    return FlatnessReport(is_flat=first is None, witness_edge=first, component_reports=sub)
 
 
 def _girth5_shape(g: Graph) -> str:

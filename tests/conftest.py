@@ -9,7 +9,15 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from riccigraph import Graph, bfs_distance_capped, generate_family, solve_transportation
+from riccigraph import (
+    Graph,
+    GraphInputError,
+    bfs_distance_capped,
+    generate_family,
+    solve_transportation,
+)
+
+HALL_SCAN_LIMIT = 20
 
 
 def path_graph(n):
@@ -187,6 +195,34 @@ def disjoint_union(a, b):
     off = a.vertex_count
     edges = list(a.edges()) + [(u + off, v + off) for u, v in b.edges()]
     return Graph(a.vertex_count + b.vertex_count, edges)
+
+
+def hall_deficiency_bruteforce(inst):
+    """delta_max = max over X subseteq left of |X| - |N(X)|, by full subset scan.
+
+    An independent oracle for the matching size: max_matching(inst).size
+    equals len(inst.left) minus this deficiency (Hall's theorem).
+    """
+    lefts = sorted(inst.left)
+    k = len(lefts)
+    if k > HALL_SCAN_LIMIT:
+        raise GraphInputError(
+            f"left side has {k} vertices, subset scan capped at {HALL_SCAN_LIMIT}"
+        )
+    rindex = {b: i for i, b in enumerate(sorted(inst.right))}
+    lindex = {a: i for i, a in enumerate(lefts)}
+    masks = [0] * k
+    for a, b in inst.adjacency:
+        masks[lindex[a]] |= 1 << rindex[b]
+    nbr = [0] * (1 << k)
+    best = 0
+    for s in range(1, 1 << k):
+        low = s & -s
+        nbr[s] = nbr[s ^ low] | masks[low.bit_length() - 1]
+        d = s.bit_count() - nbr[s].bit_count()
+        if d > best:
+            best = d
+    return best
 
 
 def check_certificates(core, value, witness):

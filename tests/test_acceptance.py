@@ -19,7 +19,6 @@ from riccigraph import (
     core_neighborhood,
     curvature_bounds,
     generate_family,
-    hall_deficiency_bruteforce,
     has_perfect_matching_between_neighborhoods,
     is_ricci_flat,
     classify_girth5_flat,
@@ -37,6 +36,7 @@ from riccigraph import (
 from conftest import (
     cycle_graph,
     full_corpus,
+    hall_deficiency_bruteforce,
     nonfamily_girth5_graphs,
     path_graph,
     random_trees,

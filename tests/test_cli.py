@@ -105,6 +105,43 @@ def test_exit_code_vertex_id_above_limit(tmp_path, monkeypatch, capsys):
     assert built == [2**22]
 
 
+def test_exit_code_self_loop(tmp_path, capsys):
+    from riccigraph import cli
+
+    path = tmp_path / "loop.txt"
+    path.write_text("0 1\n3 3\n")
+    assert cli.main(["curvature", "--graph", str(path), "--all"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: self-loop at vertex 3\n"
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("complete", "100000"),
+        ("complete", "4097"),
+        ("complete_bipartite", "3000,3000"),
+        ("path", str(2**22 + 1)),
+        ("cycle", str(2**22 + 1)),
+        ("star", str(2**22)),
+        ("complete_bipartite", f"{2**22},1"),
+    ],
+)
+def test_exit_code_gen_too_large(monkeypatch, capsys, family, params):
+    # The stand-in builder records calls instead of building the edge list,
+    # so a missing guard shows as a call, not as a huge allocation.
+    from riccigraph import cli, graph
+
+    built = []
+    arity, _, size = graph._FAMILIES[family]
+    monkeypatch.setitem(graph._FAMILIES, family, (arity, lambda *a: built.append(a), size))
+    assert cli.main(["gen", "--family", family, "--params", params]) == 2
+    out, err = capsys.readouterr()
+    assert built == [] and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

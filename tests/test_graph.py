@@ -39,13 +39,13 @@ def test_duplicate_edges_collapse():
 
 
 def test_self_loop_rejected():
-    with pytest.raises(GraphInputError):
-        Graph(3, [(1, 1)])
+    with pytest.raises(GraphInputError, match=r"^self-loop at vertex 1$"):
+        Graph(3, [(0, 2), (1, 1)])
 
 
 def test_vertex_out_of_range_rejected():
-    with pytest.raises(GraphInputError):
-        Graph(2, [(0, 2)])
+    with pytest.raises(GraphInputError, match=r"^edge \(0, 2\) outside vertex range 0\.\.1$"):
+        Graph(2, [(0, 1), (0, 2)])
 
 
 def test_adjacency_matrix_symmetric():
@@ -253,6 +253,21 @@ def test_generate_family_errors():
         generate_family("cycle", [2])
     with pytest.raises(GraphInputError):
         generate_family("petersen", [5])
+    # a negative size is the builder's error, not an edge count over the limit
+    with pytest.raises(GraphInputError, match="needs both sides >= 1"):
+        generate_family("complete_bipartite", [-100000, -100000])
+
+
+def test_generate_family_limits_admit_largest_members(monkeypatch):
+    # Stand-in builders record the call, so nothing of this size is built.
+    from riccigraph import graph
+
+    built = []
+    for name, params in (("hypercube", [20]), ("complete", [4096]), ("path", [2**22])):
+        arity, _, size = graph._FAMILIES[name]
+        monkeypatch.setitem(graph._FAMILIES, name, (arity, lambda *a: built.append(a), size))
+        generate_family(name, params)
+    assert built == [(20,), (4096,), (2**22,)]
 
 
 def test_family_shapes():
@@ -281,6 +296,8 @@ def test_from_arrays_rejects_bad_input():
         (3, [-1], [2]),
         (-1, [], []),
         (2**22 + 1, [], []),
+        (3, [0, 2], [1]),
+        (3, np.array([[0, 1]]), np.array([[1, 2]])),
     ):
         with pytest.raises(GraphInputError):
             Graph.from_arrays(n, us, vs)
@@ -288,3 +305,11 @@ def test_from_arrays_rejects_bad_input():
     assert g.neighbors(1) == (0, 2) and g.edge_count == 2
     assert Graph.from_arrays(0, [], []).edge_count == 0
     assert Graph.from_arrays(1, [], []).degrees() == (0,)
+
+
+def test_constructor_rejects_bad_pairs():
+    for edges in ([(0, 1, 2)], [(0, 1), (2,)], [5], [(True, False)], [(0, 1.0)], [(0, None)]):
+        with pytest.raises(GraphInputError):
+            Graph(3, edges)
+    # numpy promotes a mixed int/bool pair to integers
+    assert Graph(3, [(2, True)]).neighbors(1) == (2,)

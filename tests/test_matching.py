@@ -9,14 +9,13 @@ from riccigraph import (
     MatchingInstance,
     NotApplicableError,
     generate_family,
-    hall_deficiency_bruteforce,
     has_perfect_matching_between_neighborhoods,
     matching_lower_bound,
     max_matching,
     ricci_lp,
     two_matching_lower_bound,
 )
-from conftest import cycle_graph, path_graph, wagner_graph
+from conftest import cycle_graph, hall_deficiency_bruteforce, path_graph, wagner_graph
 
 
 def random_instance(rng, amax=8, bmax=8):

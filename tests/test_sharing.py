@@ -2,7 +2,8 @@
 
 The counters rebind every riccigraph name that refers to a counted function,
 the way bench/tracing.py records its spans, so calls made through a
-`from .graph import ...` binding are seen too.
+`from .graph import ...` binding are seen too.  `Graph.degrees`, a method,
+is counted on the class.
 """
 
 import json
@@ -54,6 +55,14 @@ def _count_calls(monkeypatch):
                 for key, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, key, counted)
+    degrees = Graph.degrees
+    counts["degrees"] = 0
+
+    def counted_degrees(self):
+        counts["degrees"] += 1
+        return degrees(self)
+
+    monkeypatch.setattr(Graph, "degrees", counted_degrees)
     return counts
 
 
@@ -62,6 +71,7 @@ def _assert_shared(counts, edges):
     assert counts["core_neighborhood"] == edges
     assert counts["two_coloring"] <= 1
     assert counts["girth_at_least"] <= 1
+    assert counts["degrees"] <= 1
 
 
 @pytest.mark.parametrize("label", sorted(GRAPHS))
