@@ -65,6 +65,14 @@ def _load_graph(path: str) -> tuple[Graph, str]:
     return parse_edge_list(text), digest
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GraphInputError(f"cannot write {path}: {exc}")
+
+
 def _emit_json(command: str, digest: str, results, started: float) -> None:
     envelope = {
         "command": command,
@@ -153,8 +161,7 @@ def cmd_gen(args) -> int:
     text = write_edge_list(g)
     digest = hashlib.sha256(f"{args.family}:{args.params}".encode()).hexdigest()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         payload = {
             "family": args.family,
             "params": list(params),
@@ -171,12 +178,12 @@ def cmd_gen(args) -> int:
 def cmd_experiment(args) -> int:
     started = time.monotonic()
     model = args.model
-    if args.regime and (args.n is None or args.p is None):
-        n, p = canonical_regime_params(model, args.regime)
-    elif args.n is not None and args.p is not None:
+    if args.n is not None and args.p is not None:
         n, p = args.n, args.p
+    elif args.regime and args.n is None and args.p is None:
+        n, p = canonical_regime_params(model, args.regime)
     else:
-        raise GraphInputError("provide --regime, or both --n and --p")
+        raise GraphInputError("provide --regime alone, or both --n and --p")
     config = ExperimentConfig(
         model=model,
         n=n,
@@ -201,8 +208,7 @@ def cmd_experiment(args) -> int:
         ).encode()
     ).hexdigest()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.to_csv())
+        _write_text(args.out, report.to_csv())
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:

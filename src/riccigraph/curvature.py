@@ -79,14 +79,8 @@ def ricci_oracle(
 
 
 def _partition_witness(part: NeighborPartition):
-    for label, members in (
-        ("delta", part.delta),
-        ("n1_x", part.n1_x),
-        ("n1_y", part.n1_y),
-        ("n2_x", part.n2_x),
-        ("n2_y", part.n2_y),
-        ("p_xy", part.p_xy),
-    ):
+    for label in ("delta", "n1_x", "n1_y", "n2_x", "n2_y", "p_xy"):
+        members = getattr(part, label)
         if members:
             return (label, members[0])
     return None

@@ -49,6 +49,8 @@ class Graph:
             arr = None
         if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
             raise GraphInputError("every edge must be a (u, v) pair")
+        if arr.dtype.kind in "fO" and all(type(v) is int for v in chain.from_iterable(pairs)):
+            arr = np.array(pairs, dtype=object)  # ids past int64, kept exact for the range check
         self._build(vertex_count, arr[:, 0], arr[:, 1])
 
     @classmethod
@@ -68,19 +70,22 @@ class Graph:
         us = np.asarray(us)
         vs = np.asarray(vs)
         for a in (us, vs):
-            if a.size and not np.issubdtype(a.dtype, np.integer):
+            # an object array passes if it holds Python ints only (a bool is not one)
+            ints = np.issubdtype(a.dtype, np.integer) or all(type(v) is int for v in a.tolist())
+            if a.size and not ints:
                 raise GraphInputError(f"vertex ids must be integers, got dtype {a.dtype}")
         if us.ndim != 1 or vs.ndim != 1 or us.shape != vs.shape:
             raise GraphInputError(f"endpoint shapes {us.shape} and {vs.shape} are not equal 1-D")
-        us = us.astype(np.int64, copy=False)
-        vs = vs.astype(np.int64, copy=False)
         loops = np.flatnonzero(us == vs)
         if loops.size:
             raise GraphInputError(f"self-loop at vertex {us[loops[0]]}")
+        # checked before the int64 cast, which would wrap ids of 2**63 and more
         outside = np.flatnonzero((us < 0) | (us >= n) | (vs < 0) | (vs >= n))
         if outside.size:
             i = outside[0]
             raise GraphInputError(f"edge ({us[i]}, {vs[i]}) outside vertex range 0..{n - 1}")
+        us = us.astype(np.int64, copy=False)
+        vs = vs.astype(np.int64, copy=False)
         # keys stay below 2**44 since n <= 2**22
         keys = np.sort(np.concatenate([us * n + vs, vs * n + us]))
         keys = keys[np.diff(keys, prepend=-1) != 0]
@@ -400,8 +405,11 @@ class NeighborPartition:
     For an edge (x, y): delta is N(x) & N(y) (triangles on the edge).  A
     remaining z in N(x) lands in n1_x, n2_x or n0_x according to whether its
     distance to N(y) - {x} is 1, 2, or at least 3 (4-cycle neighbors, 5-cycle
-    neighbors, and the rest).  p_xy collects vertices at distance exactly 2
-    from both x and y.  All fields are sorted tuples.
+    neighbors, and the rest); the y side mirrors it.  p_xy collects vertices
+    at distance exactly 2 from both x and y.  With near_y = N(N(y) - {x}),
+    these are set tests: z is in near_y, or a neighbour of z is (x is one
+    exactly when delta is non-empty), or neither; and p_xy is near_x & near_y
+    outside N(x) | N(y) | {x, y}.  All fields are sorted tuples.
     """
 
     x: int
@@ -422,50 +430,35 @@ class NeighborPartition:
         )
 
 
-def _classify_distance(g: Graph, z: int, targets: frozenset[int]) -> int:
-    # min(d_G(z, targets), 3) assuming z itself is not a target.
-    nz = g.neighbors(z)
-    for w in nz:
-        if w in targets:
-            return 1
-    for u in nz:
-        for w in g.neighbors(u):
-            if w in targets:
-                return 2
-    return 3
-
-
 def neighbor_partition(g: Graph, x: int, y: int) -> NeighborPartition:
-    """Classify both neighborhoods of the edge (x, y); raises NotAnEdgeError otherwise."""
+    """Classify both neighborhoods of the edge (x, y) through near_x and near_y
+    (see NeighborPartition); raises NotAnEdgeError otherwise."""
     if not g.has_edge(x, y):
         raise NotAnEdgeError(f"({x}, {y}) is not an edge")
-    nx = frozenset(g.neighbors(x))
-    ny = frozenset(g.neighbors(y))
-    delta = nx & ny
+    adj = g._adj
+    nx, ny = set(adj[x]), set(adj[y])
+    near_x = set().union(*(adj[z] for z in nx if z != y))
+    near_y = set().union(*(adj[z] for z in ny if z != x))
 
-    def split(self_v, other_v, other_nbrs):
-        # the neighbour tuple is ascending, so each part comes out sorted
-        targets = other_nbrs - {self_v}
+    def split(own, skip, near_other):
+        # skip holds the far endpoint and delta; the neighbour tuple is
+        # ascending, so each part comes out sorted
         n0, n1, n2 = [], [], []
-        for z in g.neighbors(self_v):
-            if z == other_v or z in delta:
+        for z in adj[own]:
+            if z in skip:
                 continue
-            t = _classify_distance(g, z, targets)
-            (n1 if t == 1 else n2 if t == 2 else n0).append(z)
+            if z in near_other:
+                n1.append(z)
+            elif near_other.isdisjoint(adj[z]):
+                n0.append(z)
+            else:
+                n2.append(z)
         return tuple(n0), tuple(n1), tuple(n2)
 
-    n0x, n1x, n2x = split(x, y, ny)
-    n0y, n1y, n2y = split(y, x, nx)
-    dist_x = bfs_distance_capped(g, x, 2)
-    dist_y = bfs_distance_capped(g, y, 2)
-    p = tuple(
-        sorted(v for v, d in dist_x.items() if d == 2 and dist_y.get(v) == 2)
-    )
     return NeighborPartition(
-        x=x, y=y, delta=tuple(z for z in g.neighbors(x) if z in delta),
-        n0_x=n0x, n1_x=n1x, n2_x=n2x,
-        n0_y=n0y, n1_y=n1y, n2_y=n2y,
-        p_xy=p,
+        x, y, tuple(z for z in adj[x] if z in ny),
+        *split(x, ny | {y}, near_y), *split(y, nx | {x}, near_x),
+        tuple(sorted((near_x & near_y) - nx - ny - {x, y})),
     )
 
 

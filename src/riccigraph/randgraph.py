@@ -298,6 +298,8 @@ class ExperimentConfig:
             raise GraphInputError("need at least two vertices")
         if self.workers < 1:
             raise GraphInputError("workers must be positive")
+        if self.seed < 0:
+            raise GraphInputError(f"seed must be non-negative, got {self.seed}")
 
     def marked_edge(self) -> tuple[int, int]:
         if self.model == "gnp":

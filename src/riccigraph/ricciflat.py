@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .curvature import ricci_auto
 from .errors import GraphInputError, NotApplicableError
-from .graph import Graph, connected_components, girth
+from .graph import Graph, connected_components, girth_at_least
 from .matching import has_perfect_matching_between_neighborhoods
 from .transport import DEFAULT_ORACLE_CAP
 
@@ -97,7 +97,7 @@ def check_regular_girth4_flat(g: Graph, *, cap: int = DEFAULT_ORACLE_CAP) -> Fla
     degs = set(g.degrees())
     if len(degs) != 1:
         raise NotApplicableError("graph is not regular")
-    if girth(g) != 4:
+    if not girth_at_least(g, 4) or g.has_girth_5():
         raise NotApplicableError("girth is not four")
     witness = None
     for u, v in g.edges():

@@ -166,6 +166,28 @@ def test_exit_code_sampler_too_large(monkeypatch, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "path", "--params", "3", "--out", "{missing}"],
+        ["experiment", "--model", "gnp", "--n", "40", "--p", "0.5", "--replicates", "1",
+         "--out", "{missing}"],
+        ["experiment", "--model", "gnp", "--regime", "f", "--replicates", "1", "--seed", "-1"],
+        ["experiment", "--model", "gnp", "--regime", "a", "--replicates", "1", "--p", "0.3"],
+        ["experiment", "--model", "gnp", "--regime", "a", "--replicates", "1", "--n", "50"],
+    ],
+)
+def test_exit_code_refused_arguments(tmp_path, capsys, argv):
+    # An unwritable --out, a negative seed, and a regime with only one of
+    # --n and --p each give one error line: no traceback, no silent default.
+    from riccigraph import cli
+
+    missing = str(tmp_path / "no-such-dir" / "x")
+    assert cli.main([missing if a == "{missing}" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_code_missing_file(tmp_path):
     proc = run_cli("girth", "--graph", str(tmp_path / "nope.txt"))
     assert proc.returncode == 2

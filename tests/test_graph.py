@@ -311,5 +311,13 @@ def test_constructor_rejects_bad_pairs():
     for edges in ([(0, 1, 2)], [(0, 1), (2,)], [5], [(True, False)], [(0, 1.0)], [(0, None)]):
         with pytest.raises(GraphInputError):
             Graph(3, edges)
+    # ids of 2**63 and more make the pairs uint64, float64 or object, yet are range errors
+    for u, v in ((0, 2**63), (0, 2**64), (2**63, 2**63 + 1)):
+        with pytest.raises(GraphInputError, match=rf"^edge \({u}, {v}\) outside vertex range 0\.\.2$"):
+            Graph(3, [(u, v)])
+    for edges, dtype in (([(0, 1.0)], "float64"), ([(0, 2**63), (0, 1.5)], "float64"),
+                         ([(0, None)], "object"), ([(0, 2**64), (1, None)], "object")):
+        with pytest.raises(GraphInputError, match=f"^vertex ids must be integers, got dtype {dtype}$"):
+            Graph(3, edges)
     # numpy promotes a mixed int/bool pair to integers
     assert Graph(3, [(2, True)]).neighbors(1) == (2,)

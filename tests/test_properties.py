@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from riccigraph import (
     Graph,
+    NeighborPartition,
     bfs_distance_capped,
     core_neighborhood,
     curvature_bounds,
+    neighbor_partition,
     parse_edge_list,
     ricci_formula,
     ricci_lp,
@@ -86,6 +88,34 @@ def test_from_arrays_matches_constructor(case):
         assert g.edge_count == sum(map(len, nbrs)) // 2
         assert [g.neighbors(v) for v in range(n)] == [tuple(sorted(s)) for s in nbrs]
         assert np.array_equal(g.adjacency_matrix(), _matrix_from_edges(g))
+
+
+def _partition_by_distances(g, x, y):
+    # The definition, one capped BFS per vertex: a z in N(x) - delta - {y}
+    # is classed by its distance to N(y) - {x}, and P by the radius-2 maps.
+    def split(own, far):
+        targets = set(g.neighbors(far)) - {own}
+        parts = {1: [], 2: [], 3: []}
+        for z in g.neighbors(own):
+            if z != far and z not in g.neighbors(far):
+                dist = bfs_distance_capped(g, z, 2)
+                parts[min((dist.get(t, 3) for t in targets), default=3)].append(z)
+        return tuple(parts[3]), tuple(parts[1]), tuple(parts[2])
+
+    dist_x, dist_y = bfs_distance_capped(g, x, 2), bfs_distance_capped(g, y, 2)
+    return NeighborPartition(
+        x, y, tuple(z for z in g.neighbors(x) if z in g.neighbors(y)),
+        *split(x, y), *split(y, x),
+        tuple(sorted(v for v, d in dist_x.items() if d == 2 and dist_y.get(v) == 2)),
+    )
+
+
+@PROPERTY
+@given(graphs())
+def test_neighbor_partition_matches_distances(g):
+    for u, v in g.edges():
+        for x, y in ((u, v), (v, u)):
+            assert neighbor_partition(g, x, y) == _partition_by_distances(g, x, y)
 
 
 @PROPERTY
