@@ -17,6 +17,8 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
+from typing import TextIO
 
 from . import __version__
 from .curvature import curvature_bounds, curvature_of_core, result_to_dict
@@ -65,12 +67,20 @@ def _load_graph(path: str) -> tuple[Graph, str]:
     return parse_edge_list(text), digest
 
 
-def _write_text(path: str, text: str) -> None:
+def _open_out(path: str) -> TextIO:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise GraphInputError(f"cannot write {path}: {exc}")
+
+
+def _write_text(fh: TextIO, text: str) -> None:
+    """Write text to a file from _open_out; a failed write exits 2 like a failed open."""
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        raise GraphInputError(f"cannot write {fh.name}: {exc}")
 
 
 def _emit_json(command: str, digest: str, results, started: float) -> None:
@@ -161,7 +171,8 @@ def cmd_gen(args) -> int:
     text = write_edge_list(g)
     digest = hashlib.sha256(f"{args.family}:{args.params}".encode()).hexdigest()
     if args.out:
-        _write_text(args.out, text)
+        with _open_out(args.out) as fh:
+            _write_text(fh, text)
         payload = {
             "family": args.family,
             "params": list(params),
@@ -193,7 +204,12 @@ def cmd_experiment(args) -> int:
         regime=args.regime,
         workers=args.workers,
     )
-    report = run_experiment(config)
+    # --out is opened before any replicate runs, so an unwritable path costs
+    # no sampling or solving.
+    with _open_out(args.out) if args.out else nullcontext() as out:
+        report = run_experiment(config)
+        if out is not None:
+            _write_text(out, report.to_csv())
     digest = hashlib.sha256(
         json.dumps(
             {
@@ -207,8 +223,6 @@ def cmd_experiment(args) -> int:
             sort_keys=True,
         ).encode()
     ).hexdigest()
-    if args.out:
-        _write_text(args.out, report.to_csv())
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:

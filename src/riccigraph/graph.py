@@ -29,6 +29,10 @@ MAX_EDGES = 2**23
 # Largest vertex count for which a dense boolean adjacency matrix is cached.
 _DENSE_LIMIT = 4096
 
+# Transport instances of at least this many cells (rows x cols) are built and
+# solved with numpy; below it, per-call overhead makes nested lists faster.
+_DENSE_CELLS = 2500
+
 
 class Graph:
     """Undirected simple graph with sorted, immutable adjacency lists.
@@ -530,18 +534,20 @@ class CoreNeighborhood:
             self._local_distance = mat
         return self._local_distance
 
-    def transport_costs(self) -> list[list[int]]:
+    def transport_costs(self) -> list[list[int]] | np.ndarray:
         """Distance matrix d_G(z1, z2) over rows x cols; every entry is in 0..3.
 
         For z1 in N(x) and z2 in N(y) the path z1-x-y-z2 bounds the distance by
         3, so the entry is 0 (same vertex), 1 (adjacent), 2 (common neighbor)
-        or 3.
+        or 3.  A core of at least _DENSE_CELLS cells on a graph of at most
+        _DENSE_LIMIT vertices gets an int64 ndarray, built from the dense
+        adjacency; any other core gets nested lists.
         """
         if self._costs is not None:
             return self._costs
         g = self.graph
         rows, cols = self.rows, self.cols
-        if len(rows) * len(cols) >= 2500 and g.vertex_count <= _DENSE_LIMIT:
+        if len(rows) * len(cols) >= _DENSE_CELLS and g.vertex_count <= _DENSE_LIMIT:
             a = g.adjacency_matrix()
             r = np.fromiter(rows, dtype=np.int64)
             c = np.fromiter(cols, dtype=np.int64)
@@ -550,8 +556,7 @@ class CoreNeighborhood:
             # integer count in a narrow dtype would wrap (uint8 reads 256 as 0).
             common = a[r] @ a[:, c]
             eq = r[:, None] == c[None, :]
-            mat = np.where(eq, 0, np.where(sub, 1, np.where(common, 2, 3)))
-            self._costs = mat.astype(int).tolist()
+            self._costs = np.where(eq, 0, np.where(sub, 1, np.where(common, 2, 3)))
             return self._costs
         col_sets = [frozenset(g.neighbors(z2)) for z2 in cols]
         mat = []

@@ -16,11 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
+
+import numpy as np
 
 from .errors import OracleCapExceededError
-from .graph import CoreNeighborhood
+from .graph import _DENSE_CELLS, CoreNeighborhood
 
 DEFAULT_ORACLE_CAP = 18
+
+# The array pass works in int64; solve_transportation keeps every potential
+# and every flow-times-cost product below this.
+_INT64_SAFE = 2**60
+_UNREACHED = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -32,39 +40,174 @@ class LipschitzWitness:
 
 
 def solve_transportation(
-    cost: list[list[int]], supply: list[int], demand: list[int]
+    cost: list[list[int]] | np.ndarray, supply: list[int], demand: list[int]
 ) -> tuple[int, list[list[int]]]:
     """Exact integral min-cost transportation.
 
-    cost is an R x C matrix of nonnegative integers, supply and demand are
-    integer vectors with equal totals.  Successive shortest paths with node
-    potentials.  Reduced costs are nonnegative integers, so each Dijkstra pass
-    runs over Dial's bucket queue: nodes are settled one integer distance
-    level at a time, and each settled row relaxes every unsettled column
-    once.  After each pass blocking flows are pushed through the
-    zero-reduced-cost subnetwork, whose arcs are listed once per pass because
-    the potentials only change between passes; the number of passes is
-    bounded by the largest path cost rather than the flow value.  The final
-    potentials are an integer dual certificate and are checked against the
-    primal cost before returning.
+    cost is an R x C matrix of nonnegative integers (nested lists or an
+    ndarray), supply and demand are integer vectors with equal totals.
+    Successive shortest paths with node potentials.  Reduced costs are
+    nonnegative integers, so each Dijkstra pass runs over Dial's bucket queue:
+    nodes are settled one integer distance level at a time.  After each pass
+    blocking flows are pushed through the zero-reduced-cost subnetwork, whose
+    arcs are listed once per pass because the potentials only change between
+    passes; the number of passes is bounded by the largest path cost rather
+    than the flow value.  The final potentials are an integer dual certificate
+    and are checked against the primal cost before returning.
+
+    Two passes share the blocking-flow walk and return the same flow.  An
+    instance of at least _DENSE_CELLS cells whose costs keep every potential
+    within int64 takes the array pass, which settles each Dial level, lists
+    the admissible arcs and checks the certificate with numpy; smaller
+    instances take the list pass, where numpy's per-call cost would dominate.
     """
     nr, nc = len(supply), len(demand)
-    if len(cost) != nr or any(len(row) != nc for row in cost):
+    if isinstance(cost, np.ndarray):
+        bad_shape = cost.shape != (nr, nc)
+    else:
+        bad_shape = len(cost) != nr or any(len(row) != nc for row in cost)
+    if bad_shape:
         raise ValueError("cost matrix shape does not match supply and demand")
-    if sum(supply) != sum(demand):
+    total = sum(supply)
+    if total != sum(demand):
         raise ValueError("supply and demand totals differ")
     if any(s < 0 for s in supply) or any(d < 0 for d in demand):
         raise ValueError("negative supply or demand")
+    if nr * nc >= _DENSE_CELLS:
+        mat = np.asarray(cost)
+        if mat.dtype.kind in "iu":
+            # Potentials stay below top * (R + C) and a cell's flow times its
+            # cost below top * total; both must leave int64 headroom.
+            top = max(int(mat.max()), -int(mat.min()), 1)
+            if top * (nr + nc) < _INT64_SAFE and top * total < _INT64_SAFE:
+                return _array_pass(mat.astype(np.int64, copy=False), supply, demand)
+    if isinstance(cost, np.ndarray):
+        cost = cost.tolist()
+    return _list_pass(cost, supply, demand)
+
+
+class _Flow:
+    """An integral flow with its residual supplies and demands.
+
+    back[j] is the insertion-ordered set of rows with positive flow into
+    column j, the reverse arcs of the residual network.
+    """
+
+    def __init__(self, supply: list[int], demand: list[int]) -> None:
+        self.nr, self.nc = len(supply), len(demand)
+        self.flow = [[0] * self.nc for _ in range(self.nr)]
+        self.rem_s = list(supply)
+        self.rem_d = list(demand)
+        self.back: list[dict[int, None]] = [dict() for _ in range(self.nc)]
+        self.remaining = sum(supply)
+
+    def push_blocking_flows(self, adm: list[list[int]]) -> None:
+        """Augment along admissible paths until none reaches a column with demand.
+
+        adm[i] lists, ascending, the columns j with zero reduced cost from
+        row i.  A reverse arc j -> i carries positive flow, and an arc with
+        flow has zero reduced cost (it and its reverse are both nonnegative),
+        so every reverse arc is admissible; the certificate checks this.
+        """
+        nr, nc = self.nr, self.nc
+        flow, rem_s, rem_d, back = self.flow, self.rem_s, self.rem_d, self.back
+        while self.remaining > 0:
+            level = [-1] * (nr + nc)
+            queue = []
+            for i in range(nr):
+                if rem_s[i] > 0:
+                    level[i] = 0
+                    queue.append(i)
+            qi = 0
+            sink_seen = False
+            while qi < len(queue):
+                node = queue[qi]
+                qi += 1
+                if node < nr:
+                    for j in adm[node]:
+                        if level[nr + j] < 0:
+                            level[nr + j] = level[node] + 1
+                            queue.append(nr + j)
+                            if rem_d[j] > 0:
+                                sink_seen = True
+                else:
+                    for i in back[node - nr]:
+                        if level[i] < 0:
+                            level[i] = level[node] + 1
+                            queue.append(i)
+            if not sink_seen:
+                return
+            ptr_row = [0] * nr
+            ptr_col = [0] * nc
+            back_snapshot = [list(back[j]) for j in range(nc)]
+            for i in range(nr):
+                # Walk augmenting paths from row i with an explicit node list
+                # (row, column, row, ..., column), never by recursion.
+                path = [i]
+                while path and rem_s[i] > 0:
+                    node = path[-1]
+                    if node < nr:
+                        arcs = adm[node]
+                        k = ptr_row[node]
+                        while k < len(arcs) and level[nr + arcs[k]] != level[node] + 1:
+                            k += 1
+                        ptr_row[node] = k
+                        if k < len(arcs):
+                            path.append(nr + arcs[k])
+                            continue
+                    else:
+                        j = node - nr
+                        if rem_d[j] > 0:
+                            got = min(rem_s[i], rem_d[j])
+                            for t in range(2, len(path), 2):
+                                got = min(got, flow[path[t]][path[t - 1] - nr])
+                            rem_d[j] -= got
+                            rem_s[i] -= got
+                            self.remaining -= got
+                            for t in range(1, len(path), 2):  # row -> column
+                                r, c = path[t - 1], path[t] - nr
+                                flow[r][c] += got
+                                back[c][r] = None
+                            for t in range(2, len(path), 2):  # column -> row
+                                r, c = path[t], path[t - 1] - nr
+                                flow[r][c] -= got
+                                if flow[r][c] == 0:
+                                    del back[c][r]
+                            path = [i]
+                            continue
+                        snap = back_snapshot[j]
+                        k = ptr_col[j]
+                        while k < len(snap):
+                            r = snap[k]
+                            if level[r] == level[node] + 1 and flow[r][j] > 0:
+                                break
+                            k += 1
+                        ptr_col[j] = k
+                        if k < len(snap):
+                            path.append(snap[k])
+                            continue
+                    # Dead end: retreat, skip the arc that led here, and drop
+                    # the node from the level graph, since its pointer stays
+                    # exhausted for the rest of the phase.
+                    level[path.pop()] = -1
+                    if path:
+                        if path[-1] < nr:
+                            ptr_row[path[-1]] += 1
+                        else:
+                            ptr_col[path[-1] - nr] += 1
+
+
+def _list_pass(
+    cost: list[list[int]], supply: list[int], demand: list[int]
+) -> tuple[int, list[list[int]]]:
+    """solve_transportation over nested lists: each settled row relaxes every column."""
+    nr, nc = len(supply), len(demand)
+    st = _Flow(supply, demand)
+    rem_s, rem_d, back = st.rem_s, st.rem_d, st.back
     pot = [0] * (nr + nc)
-    flow = [[0] * nc for _ in range(nr)]
-    rem_s = list(supply)
-    rem_d = list(demand)
-    # insertion-ordered set of rows with positive flow into each column
-    back: list[dict[int, None]] = [dict() for _ in range(nc)]
-    remaining = sum(supply)
     unreached = float("inf")
 
-    while remaining > 0:
+    while st.remaining > 0:
         # Dijkstra from all rows with remaining supply over Dial's buckets:
         # buckets[d] lists the nodes reached at distance d, and a node is
         # settled the first time it is taken from a bucket.
@@ -106,124 +249,112 @@ def solve_transportation(
             del buckets[d]
         if target < 0:
             raise RuntimeError("transportation problem infeasible")
+        # A node not settled below dstar has true distance >= dstar, so the
+        # raise is min(true distance, dstar) whatever order ties settled in.
         for node in range(nr + nc):
             dn = dist[node]
             pot[node] += dn if dn <= dstar else dstar
-
-        # Push a blocking flow through the admissible (zero reduced cost)
-        # arcs; the potentials stay fixed until the next pass.
         col_pot = pot[nr:]
-        adm = [
-            [j for j, c, p in zip(range(nc), ci, col_pot) if c + pi == p]
-            for ci, pi in zip(cost, pot)
-        ]
-        while remaining > 0:
-            level = [-1] * (nr + nc)
-            queue = []
-            for i in range(nr):
-                if rem_s[i] > 0:
-                    level[i] = 0
-                    queue.append(i)
-            qi = 0
-            sink_seen = False
-            while qi < len(queue):
-                node = queue[qi]
-                qi += 1
-                if node < nr:
-                    for j in adm[node]:
-                        if level[nr + j] < 0:
-                            level[nr + j] = level[node] + 1
-                            queue.append(nr + j)
-                            if rem_d[j] > 0:
-                                sink_seen = True
-                else:
-                    j = node - nr
-                    for i in list(back[j]):
-                        if (
-                            level[i] < 0
-                            and flow[i][j] > 0
-                            and cost[i][j] + pot[i] - pot[nr + j] == 0
-                        ):
-                            level[i] = level[node] + 1
-                            queue.append(i)
-            if not sink_seen:
-                break
-            ptr_row = [0] * nr
-            ptr_col = [0] * nc
-            back_snapshot = [list(back[j]) for j in range(nc)]
-            for i in range(nr):
-                # Walk augmenting paths from row i with an explicit node list
-                # (row, column, row, ..., column), never by recursion.
-                path = [i]
-                while path and rem_s[i] > 0:
-                    node = path[-1]
-                    if node < nr:
-                        arcs = adm[node]
-                        k = ptr_row[node]
-                        while k < len(arcs) and level[nr + arcs[k]] != level[node] + 1:
-                            k += 1
-                        ptr_row[node] = k
-                        if k < len(arcs):
-                            path.append(nr + arcs[k])
-                            continue
-                    else:
-                        j = node - nr
-                        if rem_d[j] > 0:
-                            got = min(rem_s[i], rem_d[j])
-                            for t in range(2, len(path), 2):
-                                got = min(got, flow[path[t]][path[t - 1] - nr])
-                            rem_d[j] -= got
-                            rem_s[i] -= got
-                            remaining -= got
-                            for t in range(1, len(path), 2):  # row -> column
-                                r, c = path[t - 1], path[t] - nr
-                                flow[r][c] += got
-                                back[c][r] = None
-                            for t in range(2, len(path), 2):  # column -> row
-                                r, c = path[t], path[t - 1] - nr
-                                flow[r][c] -= got
-                                if flow[r][c] == 0:
-                                    del back[c][r]
-                            path = [i]
-                            continue
-                        snap = back_snapshot[j]
-                        k = ptr_col[j]
-                        while k < len(snap):
-                            r = snap[k]
-                            if (
-                                level[r] == level[node] + 1
-                                and flow[r][j] > 0
-                                and cost[r][j] + pot[r] - pot[node] == 0
-                            ):
-                                break
-                            k += 1
-                        ptr_col[j] = k
-                        if k < len(snap):
-                            path.append(snap[k])
-                            continue
-                    # dead end: retreat and skip the arc that led here
-                    path.pop()
-                    if path:
-                        if path[-1] < nr:
-                            ptr_row[path[-1]] += 1
-                        else:
-                            ptr_col[path[-1] - nr] += 1
+        st.push_blocking_flows(
+            [
+                [j for j, c, p in zip(range(nc), ci, col_pot) if c + pi == p]
+                for ci, pi in zip(cost, pot)
+            ]
+        )
 
     # Certify optimality: potentials form a feasible dual with matching objective.
     total = 0
     col_pot = pot[nr:]
-    for ci, fi, pi in zip(cost, flow, pot):
+    for ci, fi, pi in zip(cost, st.flow, pot):
         for c, f, p in zip(ci, fi, col_pot):
             rc = c + pi - p
             if rc < 0 or (f > 0 and rc != 0):
                 raise RuntimeError("transport solver lost complementary slackness")
             total += f * c
-    dual = sum(demand[j] * pot[nr + j] for j in range(nc)) - sum(
-        supply[i] * pot[i] for i in range(nr)
-    )
+    _check_dual(total, supply, demand, pot[:nr], col_pot)
+    return total, st.flow
+
+
+def _array_pass(
+    cost: np.ndarray, supply: list[int], demand: list[int]
+) -> tuple[int, list[list[int]]]:
+    """solve_transportation over an int64 matrix: each Dial level is one vector step."""
+    nr, nc = cost.shape
+    st = _Flow(supply, demand)
+    pot_r = np.zeros(nr, dtype=np.int64)
+    pot_c = np.zeros(nc, dtype=np.int64)
+    while st.remaining > 0:
+        dist_r, dist_c, dstar = _dial_levels(cost, pot_r, pot_c, st)
+        pot_r += np.minimum(dist_r, dstar)
+        pot_c += np.minimum(dist_c, dstar)
+        # np.nonzero walks the mask row by row, so each row's columns ascend.
+        rows, cols = np.nonzero(cost + pot_r[:, None] == pot_c)
+        cuts = np.searchsorted(rows, np.arange(nr + 1)).tolist()
+        cols = cols.tolist()
+        st.push_blocking_flows([cols[a:b] for a, b in zip(cuts, cuts[1:])])
+
+    # Certify optimality: potentials form a feasible dual with matching objective.
+    flow = np.array(st.flow, dtype=np.int64)
+    rc = cost + pot_r[:, None] - pot_c
+    used = flow > 0
+    if (rc < 0).any() or rc[used].any():
+        raise RuntimeError("transport solver lost complementary slackness")
+    total = sum((flow[used] * cost[used]).tolist())
+    _check_dual(total, supply, demand, pot_r.tolist(), pot_c.tolist())
+    return total, st.flow
+
+
+def _dial_levels(
+    cost: np.ndarray, pot_r: np.ndarray, pot_c: np.ndarray, st: _Flow
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dijkstra over Dial's levels from the rows with remaining supply.
+
+    Returns the row and column distances and d*, the distance of the nearest
+    column with remaining demand; every distance below d* is exact.  All
+    nodes at level d are settled together: the columns take one min over
+    those rows' reduced costs, and reverse arcs stay sparse over back[j].
+    """
+    nr, nc = cost.shape
+    dist_r = np.where(np.array(st.rem_s) > 0, 0, _UNREACHED)
+    dist_c = np.full(nc, _UNREACHED)
+    open_r = np.ones(nr, dtype=bool)
+    open_c = np.ones(nc, dtype=bool)
+    deficit = np.array(st.rem_d) > 0
+    while True:
+        d = min(
+            dist_r.min(where=open_r, initial=_UNREACHED),
+            dist_c.min(where=open_c, initial=_UNREACHED),
+        )
+        if d == _UNREACHED:
+            raise RuntimeError("transportation problem infeasible")
+        d = int(d)
+        rows = np.flatnonzero(open_r & (dist_r == d))
+        while True:  # zero reduced-cost arcs reach further nodes at this level
+            if rows.size:
+                open_r[rows] = False
+                reach = (cost[rows] + pot_r[rows, None]).min(axis=0) + (d - pot_c)
+                np.minimum(dist_c, reach, out=dist_c)
+            cols = np.flatnonzero(open_c & (dist_c == d))
+            if not cols.size:
+                break
+            open_c[cols] = False
+            if deficit[cols].any():
+                return dist_r, dist_c, d
+            arc_c = [j for j in cols.tolist() for _ in st.back[j]]
+            if arc_c:
+                arc_r = [i for j in cols.tolist() for i in st.back[j]]
+                np.minimum.at(
+                    dist_r, arc_r, d + pot_c[arc_c] - cost[arc_r, arc_c] - pot_r[arc_r]
+                )
+            rows = np.flatnonzero(open_r & (dist_r == d))
+
+
+def _check_dual(
+    total: int, supply: list[int], demand: list[int], pot_r: list[int], pot_c: list[int]
+) -> None:
+    dual = sum(map(mul, demand, pot_c)) - sum(map(mul, supply, pot_r))
     if dual != total:
         raise RuntimeError("transport dual certificate does not match primal cost")
-    return total, flow
 
 
 def w1_primal(core: CoreNeighborhood) -> Fraction:

@@ -188,6 +188,23 @@ def test_exit_code_refused_arguments(tmp_path, capsys, argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unwritable_out_runs_no_experiment(tmp_path, capsys, monkeypatch):
+    # --out is opened before the experiment starts, so an unwritable path
+    # exits 2 without sampling or solving a single replicate.
+    from riccigraph import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", calls.append)
+    missing = str(tmp_path / "no-such-dir" / "x")
+    argv = ["experiment", "--model", "gnp", "--n", "40", "--p", "0.5",
+            "--replicates", "1", "--workers", "1", "--out", missing]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert calls == []
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_exit_code_missing_file(tmp_path):
     proc = run_cli("girth", "--graph", str(tmp_path / "nope.txt"))
     assert proc.returncode == 2

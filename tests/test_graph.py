@@ -241,7 +241,7 @@ def test_dense_transport_costs_match_bfs(n, p, rows):
     assert len(core.rows) * len(core.cols) >= 2500
     for z1, row in list(zip(core.rows, core.transport_costs()))[:rows]:
         dist = bfs_distance_capped(g, z1, 3)
-        assert row == [min(dist.get(z2, 3), 3) for z2 in core.cols]
+        assert row.tolist() == [min(dist.get(z2, 3), 3) for z2 in core.cols]
 
 
 def test_generate_family_errors():

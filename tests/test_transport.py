@@ -2,15 +2,19 @@ import itertools
 import random
 from math import lcm
 
+import numpy as np
 import pytest
 
 from riccigraph import (
     Graph,
     core_neighborhood,
     solve_transportation,
+    transport,
     w1_dual_oracle,
     w1_primal,
 )
+from riccigraph.graph import _DENSE_CELLS
+from riccigraph.randgraph import canonical_regime_params, sample_gnp
 from riccigraph.errors import OracleCapExceededError
 from conftest import check_certificates, random_girth5_graphs
 
@@ -131,6 +135,8 @@ def test_transportation_matches_highs():
     rng = random.Random(2024)
     for k in range(60):
         nr, nc = rng.randint(1, 40), rng.randint(1, 40)
+        if k % 10 == 3:  # above _DENSE_CELLS, so the array pass answers
+            nr, nc = rng.randint(50, 60), rng.randint(50, 60)
         top = 100 if k % 6 == 0 else 3
         cost = [[rng.randint(0, top) for _ in range(nc)] for _ in range(nr)]
         scale = lcm(nr, nc)
@@ -148,6 +154,66 @@ def test_transportation_matches_highs():
         assert res.status == 0, res.message
         assert abs(res.fun - round(res.fun)) < 1e-6
         assert round(res.fun) == total
+
+
+def _pass_corpus():
+    """Seeded instances of 50..200 per side, then two G(n, p) marked edges."""
+    rng = random.Random(808)
+    for k in range(40):
+        nr, nc = rng.randint(50, 200), rng.randint(50, 200)
+        top = 100 if k % 10 == 0 else 3
+        cost = [[rng.randint(0, top) for _ in range(nc)] for _ in range(nr)]
+        if k % 2:
+            scale = lcm(nr, nc)
+            supply, demand = [scale // nr] * nr, [scale // nc] * nc
+        else:
+            supply = [rng.randint(0, 9) for _ in range(nr)]
+            total = sum(supply)
+            cuts = sorted(rng.randint(0, total) for _ in range(nc - 1))
+            demand = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        yield cost, supply, demand
+    for regime in "ef":
+        n, p = canonical_regime_params("gnp", regime)
+        core = core_neighborhood(sample_gnp(n, p, 7, (0, 1)), 0, 1)
+        scale = lcm(core.d_x, core.d_y)
+        yield (
+            core.transport_costs().tolist(),
+            [scale // core.d_x] * core.d_x,
+            [scale // core.d_y] * core.d_y,
+        )
+
+
+def test_list_and_array_passes_agree():
+    # The two passes must return the same (total, flow), not only the same
+    # total: the flow is the solver's certificate and part of its contract.
+    for cost, supply, demand in _pass_corpus():
+        assert len(cost) * len(cost[0]) >= _DENSE_CELLS
+        got = transport._array_pass(np.array(cost, dtype=np.int64), supply, demand)
+        assert got == transport._list_pass(cost, supply, demand)
+        assert solve_transportation(cost, supply, demand) == got
+
+
+def test_costs_near_int64_take_list_pass(monkeypatch):
+    # Costs near 2**61 could overflow int64 potentials, so the dense instance
+    # goes to the list pass; shifting every cost by K adds K per unit shipped.
+    rng = random.Random(61)
+    nr, nc = 60, 70
+    cost = [[rng.randint(0, 3) for _ in range(nc)] for _ in range(nr)]
+    scale = lcm(nr, nc)
+    supply, demand = [scale // nr] * nr, [scale // nc] * nc
+    base, _ = solve_transportation(cost, supply, demand)
+    shift = 2**61
+    big = [[c + shift for c in row] for row in cost]
+
+    def refuse(*args):
+        raise AssertionError("int64-unsafe instance took the array pass")
+
+    monkeypatch.setattr(transport, "_array_pass", refuse)
+    total, flow = solve_transportation(big, supply, demand)
+    assert total == base + shift * scale
+    assert [sum(row) for row in flow] == supply
+    assert [sum(col) for col in zip(*flow)] == demand
+    assert total == sum(f * c for fr, cr in zip(flow, big) for f, c in zip(fr, cr))
 
 
 def test_transportation_long_alternating_path():
