@@ -9,7 +9,6 @@ edge's CoreNeighborhood unless the caller passes the one it holds as `core=`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from .graph import (
 )
 from .matching import BoundPair, matching_lower_bound, two_matching_lower_bound
 from .rationals import format_rational, positive_part
-from .transport import DEFAULT_ORACLE_CAP, w1_dual_oracle, w1_primal
+from .transport import DEFAULT_ORACLE_CAP, _Flow, w1_dual_oracle, w1_primal
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -112,69 +111,28 @@ def ricci_bipartite_formula(g: Graph, x: int, y: int) -> CurvatureResult:
 
     summed over connected components R_a of the subgraph induced on
     N1(x) u N1(y), where M_a = max over subsets T of the component's
-    N1(y) side of |T|/d_y - |N(T)|/d_x, computed exactly as a minimum
-    cut.  Restricting T to the empty or full side gives the weaker
-    indicator form, which is not always tight: a proper subset wins
-    whenever part of one side sees few partners across the component.
-    The value is symmetric in x and y although the expression reads
-    one-sided.
+    N1(y) side of |T|/d_y - |N(T)|/d_x.  No arc of the cut network joins
+    two components, so the whole sum is one minimum cut over N1(x) u N1(y).
+    Restricting T to the empty or full side gives the weaker indicator
+    form, which is not always tight: a proper subset wins whenever part of
+    one side sees few partners across the component.  The value is
+    symmetric in x and y although the expression reads one-sided.
     """
     if not g.is_bipartite():
         raise NotApplicableError("graph is not bipartite", witness=two_coloring(g)[1])
     return _bipartite_from_partition(g, x, y, neighbor_partition(g, x, y))
 
 
-def _max_flow(n: int, source: int, sink: int, arcs) -> int:
-    """Integer max flow (Dinic); arcs is a list of (tail, head, capacity).
+def _max_flow(lows, ups, adj, dx: int, dy: int) -> int:
+    """Max flow from lows (supply d_x each) to ups (demand d_y each) over adj.
 
-    Augmenting paths are walked with an explicit path list, never by recursion.
+    Runs on the transport solver's blocking-flow walk: adj[v] lists the ups
+    low v reaches, and those arcs are uncapacitated.
     """
-    head_of: list[list[int]] = [[] for _ in range(n)]
-    to: list[int] = []
-    cap: list[int] = []
-    for u, v, c in arcs:
-        head_of[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        head_of[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-    total = 0
-    while True:
-        level = [-1] * n
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for e in head_of[u]:
-                if cap[e] > 0 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
-        if level[sink] < 0:
-            return total
-        cursor = [0] * n
-        path: list[int] = []  # arcs of the walk from the source to u
-        u = source
-        while True:
-            if u == sink:
-                pushed = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= pushed
-                    cap[e ^ 1] += pushed
-                total += pushed
-                path, u = [], source
-            elif cursor[u] == len(head_of[u]):
-                if not path:
-                    break
-                u = to[path.pop() ^ 1]  # dead end: retreat and skip the arc
-                cursor[u] += 1
-            else:
-                e = head_of[u][cursor[u]]
-                if cap[e] > 0 and level[to[e]] == level[u] + 1:
-                    path.append(e)
-                    u = to[e]
-                else:
-                    cursor[u] += 1
+    up_index = {w: j for j, w in enumerate(ups)}
+    st = _Flow([dx] * len(lows), [dy] * len(ups))
+    st.push_blocking_flows([sorted(up_index[w] for w in adj[v]) for v in lows])
+    return dx * len(lows) - st.remaining
 
 
 def _subset_gain(lows, ups, adj, dx: int, dy: int) -> Fraction:
@@ -183,18 +141,7 @@ def _subset_gain(lows, ups, adj, dx: int, dy: int) -> Fraction:
     Equals |lows|/d_y minus a minimum cut: dropping a low vertex costs 1/d_y,
     claiming an upper one costs 1/d_x, scaled by d_x*d_y to stay integral.
     """
-    up_index = {v: i for i, v in enumerate(ups)}
-    n = len(lows) + len(ups) + 2
-    source, sink = n - 2, n - 1
-    blocked = dx * dy * (len(lows) + len(ups) + 1)
-    arcs: list[tuple[int, int, int]] = []
-    for i, v in enumerate(lows):
-        arcs.append((source, i, dx))
-        for w in adj[v]:
-            arcs.append((i, len(lows) + up_index[w], blocked))
-    for j in range(len(ups)):
-        arcs.append((len(lows) + j, sink, dy))
-    cut = _max_flow(n, source, sink, arcs)
+    cut = _max_flow(lows, ups, adj, dx, dy)
     return Fraction(len(lows), dy) - Fraction(cut, dx * dy)
 
 
@@ -205,13 +152,9 @@ def _bipartite_from_partition(
     assert not part.delta
     dx, dy = g.degree(x), g.degree(y)
     side_x = set(part.n1_x)
+    adj = {v: [w for w in g.neighbors(v) if w in side_x] for v in part.n1_y}
     inner = ONE - Fraction(1, dx) - Fraction(1, dy) - Fraction(len(part.n1_y), dy)
-    for comp in components_within(g, part.n1_x + part.n1_y):
-        lows = [v for v in comp if v not in side_x]
-        ups = [v for v in comp if v in side_x]
-        up_set = set(ups)
-        adj = {v: [w for w in g.neighbors(v) if w in up_set] for v in lows}
-        inner += _subset_gain(lows, ups, adj, dx, dy)
+    inner += _subset_gain(part.n1_y, part.n1_x, adj, dx, dy)
     kappa = -2 * positive_part(inner)
     return CurvatureResult(edge=(x, y), kappa=kappa, method="bipartite")
 
@@ -226,8 +169,9 @@ def ricci_girth5_formula(g: Graph, x: int, y: int) -> CurvatureResult:
     over connected components of the subgraph induced on N2(x) u N2(y) u P.
     A_a is the component's N2(y) share, and M_a = max over subsets T of A_a
     of |T|/d_y - |N(T)|/d_x, where N pairs vertices of N2(y) and N2(x) that
-    share a middle vertex in P; the same minimum cut as the bipartite form.
-    Symmetric in x and y despite the one-sided expression.
+    share a middle vertex in P.  As in the bipartite form, the sum over
+    components is one minimum cut over N2(x) u N2(y).  Symmetric in x and y
+    despite the one-sided expression.
     """
     if not g.has_girth_5():
         raise NotApplicableError("graph has girth below five")
@@ -240,23 +184,15 @@ def _girth5_from_partition(
     dx, dy = g.degree(x), g.degree(y)
     kappa0 = -positive_part(ONE - Fraction(1, dx) - Fraction(1, dy))
     side_x = set(part.n2_x)
-    side_y = set(part.n2_y)
     middles = set(part.p_xy)
-    inner = TWO - Fraction(2, dx) - Fraction(2, dy)
-    for comp in components_within(g, part.n2_x + part.n2_y + part.p_xy):
-        lows = [v for v in comp if v in side_y]
-        ups = [v for v in comp if v in side_x]
-        adj: dict[int, set[int]] = {v: set() for v in lows}
-        # girth five keeps middles off both neighborhoods, so pentagon pairs
-        # are exactly the (N2(x), N2(y)) pairs with a common neighbor in P
-        for m in comp:
-            if m not in middles:
-                continue
-            mx = [z for z in g.neighbors(m) if z in side_x]
-            my = [w for w in g.neighbors(m) if w in side_y]
-            for w in my:
-                adj[w].update(mx)
-        inner -= Fraction(len(lows), dy) - _subset_gain(lows, ups, adj, dx, dy)
+    # girth five keeps middles off both neighborhoods, so pentagon pairs are
+    # exactly the (N2(x), N2(y)) pairs with a common neighbor in P
+    adj = {
+        w: {z for m in g.neighbors(w) if m in middles for z in g.neighbors(m) if z in side_x}
+        for w in part.n2_y
+    }
+    inner = TWO - Fraction(2, dx) - Fraction(2, dy) - Fraction(len(part.n2_y), dy)
+    inner += _subset_gain(part.n2_y, part.n2_x, adj, dx, dy)
     kappa1 = -positive_part(inner)
     kappa = min(kappa0, kappa1, Fraction(0))
     return CurvatureResult(

@@ -43,7 +43,7 @@ class Graph:
     orientation, and duplicates collapse.
     """
 
-    __slots__ = ("_n", "_adj", "_edge_count", "_dense", "_facts")
+    __slots__ = ("_n", "_adj", "_edge_count", "_keys", "_dense", "_facts")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         pairs = list(edges)
@@ -98,6 +98,8 @@ class Graph:
         self._n = n
         self._adj = tuple(tuple(dst[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
         self._edge_count = len(keys) // 2
+        # kept only where adjacency_matrix may fill from them
+        self._keys = keys if n <= _DENSE_LIMIT else None
         self._dense = None
         self._facts = {}
 
@@ -139,21 +141,17 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency, cached.  Only for graphs up to _DENSE_LIMIT vertices.
 
-        Filled in one scatter: row u repeated deg(u) times against the
-        concatenated adjacency tuples, whichever constructor built the graph.
+        Filled in one scatter from the builder's sorted arc keys u * n + v,
+        whichever constructor built the graph.
         """
         if self._dense is None:
             if self._n > _DENSE_LIMIT:
                 raise GraphInputError(
                     f"dense adjacency refused for {self._n} vertices (limit {_DENSE_LIMIT})"
                 )
-            a = np.zeros((self._n, self._n), dtype=bool)
-            rows = np.repeat(np.arange(self._n), self.degrees())
-            cols = np.fromiter(
-                chain.from_iterable(self._adj), dtype=np.int64, count=2 * self._edge_count
-            )
-            a[rows, cols] = True
-            self._dense = a
+            a = np.zeros(self._n * self._n, dtype=bool)
+            a[self._keys] = True
+            self._dense = a.reshape(self._n, self._n)
         return self._dense
 
     def is_bipartite(self) -> bool:

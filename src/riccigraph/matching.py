@@ -30,6 +30,8 @@ class MatchingInstance:
 
     def __post_init__(self):
         lset, rset = set(self.left), set(self.right)
+        if len(lset) < len(self.left) or len(rset) < len(self.right):
+            raise GraphInputError("a vertex id repeats within one side")
         if lset & rset:
             raise GraphInputError("left and right sides overlap")
         for a, b in self.adjacency:

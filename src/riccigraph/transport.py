@@ -89,28 +89,40 @@ def solve_transportation(
 class _Flow:
     """An integral flow with its residual supplies and demands.
 
-    back[j] is the insertion-ordered set of rows with positive flow into
-    column j, the reverse arcs of the residual network.
+    back[j] maps each row with positive flow into column j to that flow, in
+    insertion order; its keys are the reverse arcs of the residual network.
+    Only positive entries are stored, so a sparse instance (the closed forms'
+    cut) holds memory in its arcs, not in rows x columns.
     """
 
     def __init__(self, supply: list[int], demand: list[int]) -> None:
         self.nr, self.nc = len(supply), len(demand)
-        self.flow = [[0] * self.nc for _ in range(self.nr)]
         self.rem_s = list(supply)
         self.rem_d = list(demand)
-        self.back: list[dict[int, None]] = [dict() for _ in range(self.nc)]
+        self.back: list[dict[int, int]] = [dict() for _ in range(self.nc)]
         self.remaining = sum(supply)
+
+    def matrix(self) -> list[list[int]]:
+        """The flow as a rows x columns matrix."""
+        flow = [[0] * self.nc for _ in range(self.nr)]
+        for j, rows in enumerate(self.back):
+            for i, f in rows.items():
+                flow[i][j] = f
+        return flow
 
     def push_blocking_flows(self, adm: list[list[int]]) -> None:
         """Augment along admissible paths until none reaches a column with demand.
 
-        adm[i] lists, ascending, the columns j with zero reduced cost from
-        row i.  A reverse arc j -> i carries positive flow, and an arc with
-        flow has zero reduced cost (it and its reverse are both nonnegative),
-        so every reverse arc is admissible; the certificate checks this.
+        adm[i] lists, ascending, the columns j that row i may send to,
+        without capacity: in the solve those with zero reduced cost, and in
+        the closed forms' minimum cut (curvature._max_flow) every low -> up
+        pair.  A reverse arc j -> i carries positive flow.  In the solve an
+        arc with flow has zero reduced cost (it and its reverse are both
+        nonnegative), so every reverse arc is admissible; the certificate
+        checks this.
         """
         nr, nc = self.nr, self.nc
-        flow, rem_s, rem_d, back = self.flow, self.rem_s, self.rem_d, self.back
+        rem_s, rem_d, back = self.rem_s, self.rem_d, self.back
         while self.remaining > 0:
             level = [-1] * (nr + nc)
             queue = []
@@ -160,26 +172,26 @@ class _Flow:
                         if rem_d[j] > 0:
                             got = min(rem_s[i], rem_d[j])
                             for t in range(2, len(path), 2):
-                                got = min(got, flow[path[t]][path[t - 1] - nr])
+                                got = min(got, back[path[t - 1] - nr][path[t]])
                             rem_d[j] -= got
                             rem_s[i] -= got
                             self.remaining -= got
                             for t in range(1, len(path), 2):  # row -> column
                                 r, c = path[t - 1], path[t] - nr
-                                flow[r][c] += got
-                                back[c][r] = None
+                                back[c][r] = back[c].get(r, 0) + got
                             for t in range(2, len(path), 2):  # column -> row
                                 r, c = path[t], path[t - 1] - nr
-                                flow[r][c] -= got
-                                if flow[r][c] == 0:
+                                if back[c][r] == got:
                                     del back[c][r]
+                                else:
+                                    back[c][r] -= got
                             path = [i]
                             continue
                         snap = back_snapshot[j]
                         k = ptr_col[j]
                         while k < len(snap):
                             r = snap[k]
-                            if level[r] == level[node] + 1 and flow[r][j] > 0:
+                            if level[r] == level[node] + 1 and r in back[j]:
                                 break
                             k += 1
                         ptr_col[j] = k
@@ -263,16 +275,17 @@ def _list_pass(
         )
 
     # Certify optimality: potentials form a feasible dual with matching objective.
+    flow = st.matrix()
     total = 0
     col_pot = pot[nr:]
-    for ci, fi, pi in zip(cost, st.flow, pot):
+    for ci, fi, pi in zip(cost, flow, pot):
         for c, f, p in zip(ci, fi, col_pot):
             rc = c + pi - p
             if rc < 0 or (f > 0 and rc != 0):
                 raise RuntimeError("transport solver lost complementary slackness")
             total += f * c
     _check_dual(total, supply, demand, pot[:nr], col_pot)
-    return total, st.flow
+    return total, flow
 
 
 def _array_pass(
@@ -294,14 +307,15 @@ def _array_pass(
         st.push_blocking_flows([cols[a:b] for a, b in zip(cuts, cuts[1:])])
 
     # Certify optimality: potentials form a feasible dual with matching objective.
-    flow = np.array(st.flow, dtype=np.int64)
+    flow = st.matrix()
+    arr = np.array(flow, dtype=np.int64)
     rc = cost + pot_r[:, None] - pot_c
-    used = flow > 0
+    used = arr > 0
     if (rc < 0).any() or rc[used].any():
         raise RuntimeError("transport solver lost complementary slackness")
-    total = sum((flow[used] * cost[used]).tolist())
+    total = sum((arr[used] * cost[used]).tolist())
     _check_dual(total, supply, demand, pot_r.tolist(), pot_c.tolist())
-    return total, st.flow
+    return total, flow
 
 
 def _dial_levels(

@@ -225,6 +225,26 @@ def hall_deficiency_bruteforce(inst):
     return best
 
 
+def subset_gain_bruteforce(lows, ups, adj, dx, dy):
+    """max over T subseteq lows of |T|/d_y - |N(T)|/d_x, by full subset scan.
+
+    An independent oracle for the closed forms' minimum cut
+    (curvature._subset_gain); N(T) is the union of adj[v] over v in T.
+    """
+    k = len(lows)
+    if k > HALL_SCAN_LIMIT:
+        raise GraphInputError(f"{k} lows, subset scan capped at {HALL_SCAN_LIMIT}")
+    uindex = {w: j for j, w in enumerate(ups)}
+    masks = [sum(1 << uindex[w] for w in set(adj[v])) for v in lows]
+    nbr = [0] * (1 << k)
+    best = 0  # in units of 1/(d_x d_y); T empty gives 0
+    for s in range(1, 1 << k):
+        low = s & -s
+        nbr[s] = nbr[s ^ low] | masks[low.bit_length() - 1]
+        best = max(best, s.bit_count() * dx - nbr[s].bit_count() * dy)
+    return Fraction(best, dx * dy)
+
+
 def check_certificates(core, value, witness):
     """Validate W1 = value on a core against the solver's integer flow and a dual witness."""
     scale = lcm(core.d_x, core.d_y)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
     random_trees,
     spider_tree,
     star_graph,
+    subset_gain_bruteforce,
 )
 
 
@@ -143,6 +145,55 @@ def test_bipartite_formula_long_augmenting_paths():
     g = Graph(2 * m + 3, edges)
     res = ricci_auto(g, 0, 1)
     assert (res.kappa, res.method) == (0, "bipartite")
+
+
+def test_bipartite_cut_memory_grows_with_arcs():
+    # x=0, y=1, each with k leaves a_i and b_i joined a_i-b_i: the cut has
+    # k lows, k ups and only k arcs, so a rows x columns flow table (k^2
+    # cells, about 72 MB at k=3000) would dwarf the instance
+    k = 3000
+    edges = [(0, 1)] + [(0, 2 + i) for i in range(k)] + [(1, 2 + k + i) for i in range(k)]
+    edges += [(2 + i, 2 + k + i) for i in range(k)]
+    g = Graph(2 * k + 2, edges)
+    core = core_neighborhood(g, 0, 1)
+    tracemalloc.start()
+    try:
+        res = ricci_auto(g, 0, 1, core=core)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.kappa, res.method) == (0, "bipartite")
+    assert peak < 10 * 2**20
+
+
+def _random_cut_instance(rng):
+    # up to four groups with no arc between them, so at least that many
+    # components; a low may draw no arcs, and a group may be one-sided
+    ids = iter(rng.sample(range(100), 100))
+    lows, ups, adj = [], [], {}
+    for _ in range(rng.randint(0, 4)):
+        group_lows = [next(ids) for _ in range(rng.randint(0, 3))]
+        group_ups = [next(ids) for _ in range(rng.randint(0, 3))]
+        for v in group_lows:
+            adj[v] = [w for w in group_ups if rng.random() < 0.5]
+        lows += group_lows
+        ups += group_ups
+    return sorted(lows), sorted(ups), adj, rng.randint(1, 6), rng.randint(1, 6)
+
+
+def test_subset_gain_matches_bruteforce():
+    rng = random.Random(909)
+    seen = dict.fromkeys(("no lows", "no ups", "isolated low", "d_x != d_y"), 0)
+    for trial in range(400):
+        lows, ups, adj, dx, dy = _random_cut_instance(rng)
+        seen["no lows"] += not lows
+        seen["no ups"] += not ups
+        seen["isolated low"] += any(not adj[v] for v in lows)
+        seen["d_x != d_y"] += dx != dy
+        assert curvature._subset_gain(lows, ups, adj, dx, dy) == subset_gain_bruteforce(
+            lows, ups, adj, dx, dy
+        ), trial
+    assert all(seen.values()), seen
 
 
 def test_girth5_formula_matches_lp():

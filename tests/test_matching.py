@@ -34,6 +34,11 @@ def test_instance_validation():
         MatchingInstance(left=(0, 1), right=(1, 2), adjacency=())
     with pytest.raises(GraphInputError):
         MatchingInstance(left=(0,), right=(1,), adjacency=((0, 5),))
+    # a repeated id would let one vertex take two partners
+    with pytest.raises(GraphInputError):
+        MatchingInstance(left=(0, 0), right=(5, 6), adjacency=((0, 5), (0, 6)))
+    with pytest.raises(GraphInputError):
+        MatchingInstance(left=(0, 1), right=(5, 5), adjacency=((0, 5), (1, 5)))
 
 
 def test_max_matching_complete():

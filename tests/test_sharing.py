@@ -1,4 +1,5 @@
-"""One core per edge and one scan of each global graph fact per graph.
+"""One core per edge, one scan of each global graph fact per graph, and one
+minimum cut per closed-form edge.
 
 The counters rebind every riccigraph name that refers to a counted function,
 the way bench/tracing.py records its spans, so calls made through a
@@ -23,7 +24,9 @@ from riccigraph import (
     ricci_auto,
     write_edge_list,
 )
+from riccigraph import curvature
 from riccigraph import graph as graph_module
+from conftest import dodecahedron
 
 COUNTED = ("neighbor_partition", "core_neighborhood", "two_coloring", "girth_at_least")
 
@@ -105,3 +108,26 @@ def test_cli_curvature_all_builds_one_core_per_edge(label, monkeypatch, tmp_path
         for u, v in fresh.edges()
     ]
     assert json.loads(out)["results"] == json.loads(json.dumps(expected))
+
+
+FORMULA_GRAPHS = {
+    "Q4": lambda: generate_family("hypercube", [4]),
+    "dodecahedron": dodecahedron,
+}
+
+
+@pytest.mark.parametrize("label", sorted(FORMULA_GRAPHS))
+def test_curvature_all_runs_one_cut_per_formula_edge(label, monkeypatch):
+    # the bipartite and girth-5 sums over components are a single min cut
+    g = FORMULA_GRAPHS[label]()
+    calls = []
+    original = curvature._max_flow
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(curvature, "_max_flow", counted)
+    methods = [r.method for r in curvature_all(g)]
+    assert set(methods) <= {"bipartite", "girth5"}
+    assert len(calls) == len(methods) == g.edge_count
