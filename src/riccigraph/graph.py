@@ -230,11 +230,6 @@ def bfs_distance_capped(g: Graph, source: int, cap: int) -> dict[int, int]:
         raise GraphInputError(f"source {source} out of range")
     if cap < 0:
         raise GraphInputError(f"negative distance cap {cap}")
-    return _bfs(g._adj, source, cap)
-
-
-def _bfs(adj, source: int, cap: int) -> dict[int, int]:
-    # distances up to cap; adj[v] lists the neighbors of vertex v
     dist = {source: 0}
     frontier = deque([source])
     while frontier:
@@ -242,7 +237,7 @@ def _bfs(adj, source: int, cap: int) -> dict[int, int]:
         d = dist[u]
         if d == cap:
             continue
-        for w in adj[u]:
+        for w in g._adj[u]:
             if w not in dist:
                 dist[w] = d + 1
                 frontier.append(w)
@@ -286,17 +281,7 @@ def girth(g: Graph) -> int | None:
 
 
 def _has_triangle(g: Graph) -> bool:
-    for u, v in g.edges():
-        a, b = g.neighbors(u), g.neighbors(v)
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] == b[j]:
-                return True
-            if a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
-    return False
+    return any(not set(g.neighbors(u)).isdisjoint(g.neighbors(v)) for u, v in g.edges())
 
 
 def _has_square(g: Graph) -> bool:
@@ -469,9 +454,9 @@ class CoreNeighborhood:
 
     Phi edges run between delta and P(x, y); removing them does not change the
     transport problem but shrinks the support the dual oracle has to search.
-    Local distances are truncated at 4 (entries for vertex pairs separated or
-    disconnected inside the core are recorded as 4), which keeps a metric and
-    leaves every distance that matters to transport untouched.
+    Local distances come from three bitset sweeps (see local_distance) and are
+    truncated at 4: pairs farther apart or disconnected in the core read 4,
+    which keeps a metric and leaves every transport distance as it is.
     """
 
     __slots__ = (
@@ -513,22 +498,37 @@ class CoreNeighborhood:
         return self.graph.degree(self.y)
 
     def local_distance(self) -> list[list[int]]:
-        """Pairwise core distances in core-index order, truncated at 4."""
+        """Pairwise core distances in core-index order, truncated at 4; cached.
+
+        ball[i] starts as the bit of core index i, and each of three sweeps
+        ORs into it the balls of i's core neighbours.  A bit j that first
+        appears in sweep d sets entry (i, j) to d; every other entry stays 4.
+        """
         if self._local_distance is None:
-            idx = self.index
-            dset = set(self.partition.delta)
-            pset = set(self.partition.p_xy)
-            adj = {}
+            idx, adj = self.index, self.graph._adj
+            dset, pset = set(self.partition.delta), set(self.partition.p_xy)
+            nbrs = []
             for v in self.vertices:
                 # the induced core without phi edges (delta to P)
                 skip = pset if v in dset else dset if v in pset else ()
-                adj[v] = [w for w in self.graph.neighbors(v) if w in idx and w not in skip]
-            mat = []
-            for s in self.vertices:
-                row = [4] * len(idx)
-                for v, d in _bfs(adj, s, 4).items():
-                    row[idx[v]] = d
-                mat.append(row)
+                nbrs.append([idx[w] for w in adj[v] if w in idx and w not in skip])
+            mat = [[4] * len(nbrs) for _ in nbrs]
+            for i, row in enumerate(mat):
+                row[i] = 0
+            ball = [1 << i for i in range(len(nbrs))]
+            for d in (1, 2, 3):
+                grown = []
+                for row, old, nb in zip(mat, ball, nbrs):
+                    new = old
+                    for j in nb:
+                        new |= ball[j]
+                    fresh = new ^ old
+                    while fresh:
+                        low = fresh & -fresh
+                        row[low.bit_length() - 1] = d
+                        fresh ^= low
+                    grown.append(new)
+                ball = grown
             self._local_distance = mat
         return self._local_distance
 

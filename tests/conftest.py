@@ -245,6 +245,31 @@ def subset_gain_bruteforce(lows, ups, adj, dx, dy):
     return Fraction(best, dx * dy)
 
 
+def local_distance_bfs(core):
+    """Core distances truncated at 4, one capped BFS per core vertex.
+
+    The reference for CoreNeighborhood.local_distance: the phi-free core (the
+    induced core without its delta-P edges) is built as a Graph on core
+    indices and searched from every vertex with bfs_distance_capped.
+    """
+    idx = core.index
+    delta, p = set(core.partition.delta), set(core.partition.p_xy)
+    edges = [
+        (idx[u], idx[v])
+        for u in core.vertices
+        for v in core.graph.neighbors(u)
+        if v in idx and u < v and not (u in delta and v in p or u in p and v in delta)
+    ]
+    h = Graph(len(idx), edges)
+    mat = []
+    for s in range(len(idx)):
+        row = [4] * len(idx)
+        for v, d in bfs_distance_capped(h, s, 4).items():
+            row[v] = d
+        mat.append(row)
+    return mat
+
+
 def check_certificates(core, value, witness):
     """Validate W1 = value on a core against the solver's integer flow and a dual witness."""
     scale = lcm(core.d_x, core.d_y)

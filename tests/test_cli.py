@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -76,6 +77,23 @@ def test_curvature_all_csv(tmp_path):
         fields = line.split(",")
         assert fields[2] == "0/1"
         assert "jost_liu=" in fields[5]
+
+
+def test_curvature_all_csv_pinned_on_moderate_degree(tmp_path, monkeypatch, capsys):
+    # bench/reference.json pins sparse cores only.  G(80, 0.12) has cores of
+    # about 50 vertices, most with triangles next to P, so every bound and
+    # the core distances shape these bytes.
+    from riccigraph import cli, sample_gnp
+
+    monkeypatch.delenv("RICCI_ORACLE_CAP", raising=False)
+    path = tmp_path / "gnp.txt"
+    path.write_text(write_edge_list(sample_gnp(80, 0.12, 7, (0, 1))))
+    assert cli.main(["curvature", "--graph", str(path), "--all", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 399
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a732bb675405be0fa2dffcbeff5dc8465e9c8e7d71e8656a387a96c5ca20f917"
+    )
 
 
 def test_exit_code_malformed_input(tmp_path):

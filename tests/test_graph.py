@@ -19,7 +19,7 @@ from riccigraph import (
 )
 from riccigraph.graph import components_within
 from riccigraph.randgraph import sample_gnp
-from conftest import cycle_graph, path_graph, random_tree, star_graph
+from conftest import cycle_graph, local_distance_bfs, path_graph, random_tree, star_graph
 
 
 def test_basic_accessors():
@@ -230,6 +230,50 @@ def test_core_removes_triangle_to_pentagon_edges():
     core = core_neighborhood(g, 0, 1)
     idx = core.index
     assert core.local_distance()[idx[2]][idx[5]] >= 2
+
+
+@pytest.mark.parametrize("n, p, count", [(400, 0.05, 4), (400, 0.5, 1)])
+def test_local_distance_matches_bfs_on_wide_cores(n, p, count):
+    # Cores of about 186 and 400 vertices, so every ball spans several
+    # machine words; G(400, 0.5) also has delta, P and phi edges.
+    g = sample_gnp(n, p, 7, (0, 1))
+    for u, v in list(g.edges())[:count]:
+        for x, y in ((u, v), (v, u)):
+            core = core_neighborhood(g, x, y)
+            assert len(core.vertices) > 128
+            assert core.local_distance() == local_distance_bfs(core)
+
+
+@pytest.mark.parametrize(
+    "g, count",
+    [
+        (generate_family("hypercube", [6]), None),
+        (generate_family("petersen", []), None),
+        (generate_family("complete", [7]), None),
+        (generate_family("complete_bipartite", [3, 4]), None),
+        (sample_gnp(40, 0.1, 1, (0, 1)), None),
+        (sample_gnp(60, 0.2, 2, (0, 1)), None),
+        (sample_gnp(80, 0.12, 7, (0, 1)), None),
+        # rows x cols >= 2500, so the cost matrix is an ndarray
+        (sample_gnp(150, 0.5, 3, (0, 1)), 6),
+    ],
+    ids=["Q6", "Petersen", "K7", "K3,4", "gnp40", "gnp60", "gnp80", "gnp150"],
+)
+def test_core_distance_at_most_two_iff_cost_at_most_two(g, count):
+    # The 2-matching bound pairs R(x) x R(y) at core distance <= 2.  The
+    # transport cost matrix answers the same question: the middle vertex of
+    # such a path is never x or y and lies on no phi edge.
+    for u, v in list(g.edges())[:count]:
+        for x, y in ((u, v), (v, u)):
+            core = core_neighborhood(g, x, y)
+            dist, idx = core.local_distance(), core.index
+            costs = core.transport_costs()
+            costs = costs.tolist() if hasattr(costs, "tolist") else costs
+            skip = {x, y, *core.partition.delta}
+            for i, a in enumerate(core.rows):
+                for j, b in enumerate(core.cols):
+                    if a not in skip and b not in skip:
+                        assert (dist[idx[a]][idx[b]] <= 2) == (costs[i][j] <= 2), (x, y, a, b)
 
 
 @pytest.mark.parametrize("n, p, rows", [(150, 0.6, None), (400, 0.8, 5)])

@@ -19,6 +19,7 @@ from riccigraph import (
     w1_dual_oracle,
     write_edge_list,
 )
+from conftest import local_distance_bfs
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -31,6 +32,24 @@ def graphs(draw, nmax=9):
     chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [pair for pair, keep in zip(pairs, chosen) if keep] or [pairs[0]]
     return Graph(n, edges)
+
+
+@st.composite
+def phi_graphs(draw, nmax=9):
+    """Drawn edges over a triangle next to P, beside a second, separate drawn piece.
+
+    The edges (0, 1), (0, 2), (1, 2) and (2, 3) make 2 a common neighbour of
+    (0, 1) and put 3 in P(0, 1) through the phi edge (2, 3) alone; with no
+    other edge at 3, the phi-free core cuts 3 off and its entries read 4.
+    """
+    n = draw(st.integers(min_value=4, max_value=nmax))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    other = draw(graphs(nmax=5))
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3)]
+    edges += [pair for pair, keep in zip(pairs, chosen) if keep]
+    edges += [(u + n, v + n) for u, v in other.edges()]
+    return Graph(n + other.vertex_count, edges)
 
 
 @st.composite
@@ -116,6 +135,16 @@ def test_neighbor_partition_matches_distances(g):
     for u, v in g.edges():
         for x, y in ((u, v), (v, u)):
             assert neighbor_partition(g, x, y) == _partition_by_distances(g, x, y)
+
+
+@PROPERTY
+@given(phi_graphs())
+@example(Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (5, 6)]))
+def test_local_distance_matches_bfs(g):
+    for u, v in g.edges():
+        for x, y in ((u, v), (v, u)):
+            core = core_neighborhood(g, x, y)
+            assert core.local_distance() == local_distance_bfs(core)
 
 
 @PROPERTY
