@@ -20,8 +20,6 @@ from .graph import (
     CoreNeighborhood,
     Graph,
     NeighborPartition,
-    bfs_distance_capped,
-    build_graph,
     connected_components,
     core_neighborhood,
     generate_family,
@@ -63,7 +61,6 @@ from .curvature import (
     ricci_girth5_formula,
     ricci_girth6_formula,
     ricci_lp,
-    ricci_oracle,
 )
 from .ricciflat import (
     FlatnessReport,

@@ -69,14 +69,6 @@ def ricci_lp(
     return CurvatureResult(edge=(x, y), kappa=1 - value, method="lp")
 
 
-def ricci_oracle(
-    g: Graph, x: int, y: int, *, cap: int = DEFAULT_ORACLE_CAP
-) -> CurvatureResult:
-    """Curvature from the dual enumeration alone, without the transport LP."""
-    value, _ = w1_dual_oracle(core_neighborhood(g, x, y), cap)
-    return CurvatureResult(edge=(x, y), kappa=1 - value, method="oracle")
-
-
 def _partition_witness(part: NeighborPartition):
     for label in ("delta", "n1_x", "n1_y", "n2_x", "n2_y", "p_xy"):
         members = getattr(part, label)
@@ -287,9 +279,10 @@ def _dispatch(core: CoreNeighborhood, verify: bool, cap: int | None) -> Curvatur
     elif cap is not None:
         return ricci_lp(g, x, y, cap=cap, core=core)
     else:
+        witness = _partition_witness(part)
         raise NotApplicableError(
-            "no closed-form regime applies to this edge",
-            witness=_partition_witness(part),
+            f"edge ({x}, {y}): no closed-form regime applies ({witness[0]} vertex {witness[1]})",
+            witness=witness,
         )
     if verify and (cap is None or len(core.vertices) <= cap):
         lp_kappa = 1 - w1_primal(core)

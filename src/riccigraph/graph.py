@@ -117,9 +117,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def has_vertex(self, v: int) -> bool:
-        return 0 <= v < self._n
-
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self._n and 0 <= v < self._n):
             return False
@@ -176,32 +173,17 @@ class Graph:
         return f"Graph(vertices={self._n}, edges={self._edge_count})"
 
 
-def build_graph(edge_list: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from vertex-id pairs; vertex count is the largest id plus one.
-
-    Duplicate edges collapse and self-loops are rejected.  Ids above
-    MAX_VERTEX_ID (2**22 - 1) are rejected before anything is allocated, since
-    the graph holds one adjacency list for every id up to the largest.
-    """
-    pairs = []
-    top = -1
-    for u, v in edge_list:
-        u, v = int(u), int(v)
-        if u < 0 or v < 0:
-            raise GraphInputError(f"negative vertex id in edge ({u}, {v})")
-        if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:
-            raise GraphInputError(f"vertex id above {MAX_VERTEX_ID} in edge ({u}, {v})")
-        pairs.append((u, v))
-        top = max(top, u, v)
-    return Graph(top + 1, pairs)
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain text edge-list format: one "u v" pair per line.
 
-    Lines starting with '#' and blank lines are ignored.
+    Lines starting with '#' and blank lines are ignored.  The vertex count is
+    the largest id plus one; duplicate edges collapse and self-loops are
+    rejected.  Negative ids and ids above MAX_VERTEX_ID (2**22 - 1) are
+    rejected with their line number before anything is allocated, since the
+    graph holds one adjacency list for every id up to the largest.
     """
     pairs = []
+    top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -215,33 +197,16 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphInputError(f"line {lineno}: non-integer vertex id in {raw!r}") from None
         if u < 0 or v < 0:
             raise GraphInputError(f"line {lineno}: negative vertex id in {raw!r}")
+        if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:
+            raise GraphInputError(f"line {lineno}: vertex id above {MAX_VERTEX_ID} in {raw!r}")
         pairs.append((u, v))
-    return build_graph(pairs)
+        top = max(top, u, v)
+    return Graph(top + 1, pairs)
 
 
 def write_edge_list(g: Graph) -> str:
     """Render a graph in the edge-list text format, edges in lexicographic order."""
     return "".join(f"{u} {v}\n" for u, v in g.edges())
-
-
-def bfs_distance_capped(g: Graph, source: int, cap: int) -> dict[int, int]:
-    """Distances from source to every vertex within the cap, as {vertex: distance}."""
-    if not g.has_vertex(source):
-        raise GraphInputError(f"source {source} out of range")
-    if cap < 0:
-        raise GraphInputError(f"negative distance cap {cap}")
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        d = dist[u]
-        if d == cap:
-            continue
-        for w in g._adj[u]:
-            if w not in dist:
-                dist[w] = d + 1
-                frontier.append(w)
-    return dist
 
 
 def _shortest_cycle_through_edge(g: Graph, u: int, v: int, cap: int) -> int | None:
@@ -390,22 +355,20 @@ class NeighborPartition:
     """The edge-local split of the two neighborhoods.
 
     For an edge (x, y): delta is N(x) & N(y) (triangles on the edge).  A
-    remaining z in N(x) lands in n1_x, n2_x or n0_x according to whether its
-    distance to N(y) - {x} is 1, 2, or at least 3 (4-cycle neighbors, 5-cycle
-    neighbors, and the rest); the y side mirrors it.  p_xy collects vertices
-    at distance exactly 2 from both x and y.  With near_y = N(N(y) - {x}),
-    these are set tests: z is in near_y, or a neighbour of z is (x is one
-    exactly when delta is non-empty), or neither; and p_xy is near_x & near_y
-    outside N(x) | N(y) | {x, y}.  All fields are sorted tuples.
+    remaining z in N(x) lands in n1_x or n2_x when its distance to N(y) - {x}
+    is 1 or 2 (4-cycle and 5-cycle neighbors); a farther z is in no field.
+    The y side mirrors it.  p_xy collects vertices at distance exactly 2 from
+    both x and y.  With near_y = N(N(y) - {x}), these are set tests: z is in
+    near_y, or a neighbour of z is (x is one exactly when delta is
+    non-empty); and p_xy is near_x & near_y outside N(x) | N(y) | {x, y}.
+    All fields are sorted tuples.
     """
 
     x: int
     y: int
     delta: tuple[int, ...]
-    n0_x: tuple[int, ...]
     n1_x: tuple[int, ...]
     n2_x: tuple[int, ...]
-    n0_y: tuple[int, ...]
     n1_y: tuple[int, ...]
     n2_y: tuple[int, ...]
     p_xy: tuple[int, ...]
@@ -430,17 +393,15 @@ def neighbor_partition(g: Graph, x: int, y: int) -> NeighborPartition:
     def split(own, skip, near_other):
         # skip holds the far endpoint and delta; the neighbour tuple is
         # ascending, so each part comes out sorted
-        n0, n1, n2 = [], [], []
+        n1, n2 = [], []
         for z in adj[own]:
             if z in skip:
                 continue
             if z in near_other:
                 n1.append(z)
-            elif near_other.isdisjoint(adj[z]):
-                n0.append(z)
-            else:
+            elif not near_other.isdisjoint(adj[z]):
                 n2.append(z)
-        return tuple(n0), tuple(n1), tuple(n2)
+        return tuple(n1), tuple(n2)
 
     return NeighborPartition(
         x, y, tuple(z for z in adj[x] if z in ny),

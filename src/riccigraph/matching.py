@@ -87,12 +87,10 @@ def _augment(a0: int, adj: dict[int, list[int]], match_r: dict[int, int], seen: 
     return False
 
 
-def max_matching(inst: MatchingInstance, stop_at: int | None = None) -> MatchingResult:
+def max_matching(inst: MatchingInstance) -> MatchingResult:
     """Maximum-cardinality matching; deterministic under the instance ordering.
 
-    Left vertices are processed in ascending id.  stop_at ends the search as
-    soon as that many pairs exist (for threshold questions on large
-    instances); the full maximum is computed when it is None.
+    Left vertices are processed in ascending id.
     """
     adj: dict[int, list[int]] = {a: [] for a in inst.left}
     for a, b in inst.adjacency:
@@ -102,8 +100,6 @@ def max_matching(inst: MatchingInstance, stop_at: int | None = None) -> Matching
     match_r: dict[int, int] = {}
     size = 0
     for a in sorted(inst.left):
-        if stop_at is not None and size >= stop_at:
-            break
         if _augment(a, adj, match_r, set()):
             size += 1
     pairs = tuple(sorted((a, b) for b, a in match_r.items()))

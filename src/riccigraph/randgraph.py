@@ -27,6 +27,8 @@ from .rationals import format_rational, positive_part
 
 DEFAULT_SIZE_BUDGET = 250_000
 DEFAULT_REFERENCE_SAMPLES = 100_000
+# every row stays in memory (about 512 B each) until the report is built
+MAX_REPLICATES = 100_000
 
 # spawn key reserved for auxiliary streams (replicate indices stay below 2^32)
 _AUX_STREAM = 1 << 32
@@ -225,15 +227,11 @@ def regime_limit(model: str, n: int, p) -> RegimeLimit:
     )
 
 
-_GNP_REGIMES = {"a", "b", "c", "d", "e", "f"}
-_BIPARTITE_REGIMES = {"a", "b", "c", "d"}
-
-
 def regime_descriptor(model: str, regime: str, n: int, p) -> RegimeLimit:
     """Limit descriptor for an explicitly named regime (no threshold test)."""
     if model not in ("gnp", "bipartite"):
         raise GraphInputError(f"unknown model {model!r}")
-    if regime not in (_GNP_REGIMES if model == "gnp" else _BIPARTITE_REGIMES):
+    if regime not in (_CANONICAL_GNP if model == "gnp" else _CANONICAL_BIPARTITE):
         raise GraphInputError(f"unknown {model} regime {regime!r}")
     if regime == "a":
         return RegimeLimit(kind="isolated_edge", value=Fraction(0), regime="a")
@@ -283,8 +281,6 @@ class ExperimentConfig:
     replicates: int
     seed: int
     regime: str | None = None
-    size_budget: int = DEFAULT_SIZE_BUDGET
-    reference_samples: int = DEFAULT_REFERENCE_SAMPLES
     workers: int = 1
 
     def __post_init__(self):
@@ -292,6 +288,10 @@ class ExperimentConfig:
             raise GraphInputError(f"unknown model {self.model!r}")
         if self.replicates < 1:
             raise GraphInputError("need at least one replicate")
+        if self.replicates > MAX_REPLICATES:
+            raise GraphInputError(
+                f"{self.replicates} replicates exceed the limit of {MAX_REPLICATES}"
+            )
         if not 0 <= float(self.p) <= 1:
             raise GraphInputError(f"edge probability {self.p} outside [0, 1]")
         if self.n < 2:
@@ -402,7 +402,7 @@ def _replicate(config: ExperimentConfig, index: int) -> ReplicateRow:
     else:
         g = sample_bipartite(config.n, config.n, config.p, seed, (a, b))
     da, db = g.degree(a), g.degree(b)
-    if da * db > config.size_budget:
+    if da * db > DEFAULT_SIZE_BUDGET:
         return ReplicateRow(
             index=index,
             n=config.n,
@@ -411,7 +411,7 @@ def _replicate(config: ExperimentConfig, index: int) -> ReplicateRow:
             method=None,
             core_size=None,
             isolated=None,
-            skip=f"transport instance {da}*{db} exceeds budget {config.size_budget}",
+            skip=f"transport instance {da}*{db} exceeds budget {DEFAULT_SIZE_BUDGET}",
         )
     core = core_neighborhood(g, a, b)
     result = ricci_auto(g, a, b, core=core)
@@ -475,9 +475,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     elif limit.kind == "isolated_edge":
         distance = 1.0 - isolated_fraction
     else:
-        reference = sample_tree_limit(
-            limit.lam, config.reference_samples, config.seed
-        )
+        reference = sample_tree_limit(limit.lam, DEFAULT_REFERENCE_SAMPLES, config.seed)
         distance = float(ecdf_distance(list(samples), reference))
     return ExperimentReport(
         config=config,

@@ -6,18 +6,41 @@ trees, random bipartite graphs, and random girth->=5 graphs.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from math import lcm
 
 from riccigraph import (
     Graph,
     GraphInputError,
-    bfs_distance_capped,
     generate_family,
     solve_transportation,
 )
 
 HALL_SCAN_LIMIT = 20
+
+
+def bfs_distance_capped(g, source, cap):
+    """Distances from source to every vertex within the cap, as {vertex: distance}.
+
+    The plain BFS that the test references measure graph distance with.
+    """
+    if not 0 <= source < g.vertex_count:
+        raise GraphInputError(f"source {source} out of range")
+    if cap < 0:
+        raise GraphInputError(f"negative distance cap {cap}")
+    dist = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        u = frontier.popleft()
+        d = dist[u]
+        if d == cap:
+            continue
+        for w in g.neighbors(u):
+            if w not in dist:
+                dist[w] = d + 1
+                frontier.append(w)
+    return dist
 
 
 def path_graph(n):

@@ -119,7 +119,7 @@ def test_exit_code_vertex_id_above_limit(tmp_path, monkeypatch, capsys):
     assert built == [] and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    graph.build_graph([(0, graph.MAX_VERTEX_ID)])
+    graph.parse_edge_list(f"0 {graph.MAX_VERTEX_ID}\n")
     assert built == [2**22]
 
 
@@ -206,6 +206,32 @@ def test_exit_code_refused_arguments(tmp_path, capsys, argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_exit_code_replicates_above_limit(monkeypatch, capsys, workers):
+    # The stand-ins record calls instead of sampling or starting workers, so
+    # a missing guard shows as a call, not as 100,001 replicates.
+    from riccigraph import cli, randgraph
+
+    calls = []
+
+    def sampler(*args):
+        calls.append(args)
+        raise randgraph.GraphInputError("stand-in sampler")
+
+    monkeypatch.setattr(randgraph, "sample_gnp", sampler)
+    monkeypatch.setattr(randgraph, "ProcessPoolExecutor", lambda **kw: calls.append(kw))
+    argv = ["experiment", "--model", "gnp", "--regime", "f", "--workers", workers,
+            "--replicates", str(randgraph.MAX_REPLICATES + 1)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert calls == [] and out == ""
+    assert err == f"error: {randgraph.MAX_REPLICATES + 1} replicates exceed the limit of 100000\n"
+    config = randgraph.ExperimentConfig(
+        model="gnp", n=40, p=0.5, replicates=randgraph.MAX_REPLICATES, seed=0
+    )
+    assert config.replicates == randgraph.MAX_REPLICATES
+
+
 def test_unwritable_out_runs_no_experiment(tmp_path, capsys, monkeypatch):
     # --out is opened before the experiment starts, so an unwritable path
     # exits 2 without sampling or solving a single replicate.
@@ -240,6 +266,13 @@ def test_exit_code_formula_not_applicable(tmp_path):
         "curvature", "--graph", str(path), "--edge", "0", "1", "--method", "formula"
     )
     assert proc.returncode == 4
+    assert proc.stderr == "error: edge (0, 1): no closed-form regime applies (delta vertex 2)\n"
+    # (0, 1) and (1, 2) are tree edges; (2, 3) is the first on the triangle 2-3-4
+    path = tmp_path / "tail.txt"
+    path.write_text("0 1\n1 2\n2 3\n2 4\n3 4\n")
+    proc = run_cli("curvature", "--graph", str(path), "--all", "--method", "formula")
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == "error: edge (2, 3): no closed-form regime applies (delta vertex 4)\n"
 
 
 def test_formula_with_verify_passes(tmp_path):

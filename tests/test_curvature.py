@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,13 +23,14 @@ from riccigraph import (
     ricci_girth5_formula,
     ricci_girth6_formula,
     ricci_lp,
-    ricci_oracle,
     w1_dual_oracle,
 )
 from riccigraph import curvature
 from conftest import (
+    bfs_distance_capped,
     cycle_graph,
     dodecahedron,
+    named_corpus,
     random_bipartite_graphs,
     random_girth5_graphs,
     random_trees,
@@ -248,9 +250,37 @@ def test_auto_equals_lp_everywhere():
 
 def test_oracle_route_agrees():
     g = generate_family("petersen", [])
-    res = ricci_oracle(g, 0, 1)
-    assert res.method == "oracle"
-    assert res.kappa == Fraction(-1, 3) == kappa(g, 0, 1)
+    value, _ = w1_dual_oracle(core_neighborhood(g, 0, 1))
+    assert 1 - value == Fraction(-1, 3) == kappa(g, 0, 1)
+
+
+def test_kappa_matches_highs_on_named_corpus():
+    # An independent reference: distances from a plain BFS, not from the
+    # core's cost matrix, and a float LP (scipy's HiGHS) on supplies lcm/d_x
+    # and demands lcm/d_y; the transportation polytope is integral, so the
+    # optimum snaps to an integer.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    import numpy as np
+
+    for label, g in named_corpus():
+        for u, v in g.edges():
+            rows, cols = g.neighbors(u), g.neighbors(v)
+            dists = [bfs_distance_capped(g, a, 3) for a in rows]
+            cost = np.array([[d[b] for b in cols] for d in dists], dtype=float)
+            scale = lcm(len(rows), len(cols))
+            res = linprog(
+                cost.ravel(),
+                A_eq=np.vstack([
+                    np.kron(np.eye(len(rows)), np.ones((1, len(cols)))),
+                    np.kron(np.ones((1, len(rows))), np.eye(len(cols))),
+                ]),
+                b_eq=[scale // len(rows)] * len(rows) + [scale // len(cols)] * len(cols),
+                bounds=(0, None),
+                method="highs",
+            )
+            assert res.status == 0, (label, u, v, res.message)
+            assert abs(res.fun - round(res.fun)) < 1e-6, (label, u, v)
+            assert Fraction(round(res.fun), scale) == 1 - ricci_auto(g, u, v).kappa, (label, u, v)
 
 
 def test_locality_under_distant_attachments():

@@ -5,8 +5,6 @@ import pytest
 from riccigraph import (
     Graph,
     GraphInputError,
-    bfs_distance_capped,
-    build_graph,
     connected_components,
     core_neighborhood,
     generate_family,
@@ -19,7 +17,14 @@ from riccigraph import (
 )
 from riccigraph.graph import components_within
 from riccigraph.randgraph import sample_gnp
-from conftest import cycle_graph, local_distance_bfs, path_graph, random_tree, star_graph
+from conftest import (
+    bfs_distance_capped,
+    cycle_graph,
+    local_distance_bfs,
+    path_graph,
+    random_tree,
+    star_graph,
+)
 
 
 def test_basic_accessors():
@@ -78,7 +83,7 @@ def test_parse_errors():
 
 
 def test_build_graph_vertex_count_from_ids():
-    g = build_graph([(0, 7)])
+    g = parse_edge_list("0 7\n")
     assert g.vertex_count == 8
 
 

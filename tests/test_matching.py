@@ -63,16 +63,6 @@ def test_max_matching_forced_augmentation():
     assert res.pairs == ((0, 11), (1, 10))
 
 
-def test_max_matching_stop_at():
-    inst = MatchingInstance(
-        left=tuple(range(5)),
-        right=tuple(range(10, 15)),
-        adjacency=tuple((a, 10 + a) for a in range(5)),
-    )
-    assert max_matching(inst, stop_at=2).size == 2
-    assert max_matching(inst).size == 5
-
-
 def test_max_matching_empty_adjacency():
     inst = MatchingInstance(left=(0, 1), right=(2, 3), adjacency=())
     res = max_matching(inst)

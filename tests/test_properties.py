@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from riccigraph import (
     Graph,
     NeighborPartition,
-    bfs_distance_capped,
     core_neighborhood,
     curvature_bounds,
     neighbor_partition,
@@ -19,7 +18,7 @@ from riccigraph import (
     w1_dual_oracle,
     write_edge_list,
 )
-from conftest import local_distance_bfs
+from conftest import bfs_distance_capped, local_distance_bfs
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -111,7 +110,8 @@ def test_from_arrays_matches_constructor(case):
 
 def _partition_by_distances(g, x, y):
     # The definition, one capped BFS per vertex: a z in N(x) - delta - {y}
-    # is classed by its distance to N(y) - {x}, and P by the radius-2 maps.
+    # is classed by its distance to N(y) - {x} (1 or 2; farther is dropped),
+    # and P by the radius-2 maps.
     def split(own, far):
         targets = set(g.neighbors(far)) - {own}
         parts = {1: [], 2: [], 3: []}
@@ -119,7 +119,7 @@ def _partition_by_distances(g, x, y):
             if z != far and z not in g.neighbors(far):
                 dist = bfs_distance_capped(g, z, 2)
                 parts[min((dist.get(t, 3) for t in targets), default=3)].append(z)
-        return tuple(parts[3]), tuple(parts[1]), tuple(parts[2])
+        return tuple(parts[1]), tuple(parts[2])
 
     dist_x, dist_y = bfs_distance_capped(g, x, 2), bfs_distance_capped(g, y, 2)
     return NeighborPartition(

@@ -24,6 +24,7 @@ from riccigraph import (
     two_coloring,
     write_edge_list,
 )
+from riccigraph import randgraph
 
 
 def test_gnp_deterministic():
@@ -205,8 +206,6 @@ def test_experiment_worker_count_invisible():
 def test_experiment_pool_clamped(monkeypatch):
     # a stand-in pool that records its size and maps serially: a real pool
     # starts every requested worker process up front
-    import riccigraph.randgraph as randgraph
-
     sizes = []
 
     class RecordingPool:
@@ -237,10 +236,9 @@ def test_experiment_pool_clamped(monkeypatch):
     assert sizes == [2, 8]
 
 
-def test_experiment_kappa_rows():
-    cfg = ExperimentConfig(
-        model="gnp", n=200, p=3 / 200, replicates=40, seed=9, reference_samples=2000
-    )
+def test_experiment_kappa_rows(monkeypatch):
+    monkeypatch.setattr(randgraph, "DEFAULT_REFERENCE_SAMPLES", 2000)
+    cfg = ExperimentConfig(model="gnp", n=200, p=3 / 200, replicates=40, seed=9)
     rep = run_experiment(cfg)
     assert rep.limit.kind == "tree_distribution"
     assert rep.distance_to_limit is not None
@@ -253,10 +251,9 @@ def test_experiment_kappa_rows():
     assert rep.positive_samples == positives
 
 
-def test_experiment_skip_budget():
-    cfg = ExperimentConfig(
-        model="gnp", n=30, p=0.5, replicates=5, seed=2, size_budget=10
-    )
+def test_experiment_skip_budget(monkeypatch):
+    monkeypatch.setattr(randgraph, "DEFAULT_SIZE_BUDGET", 10)
+    cfg = ExperimentConfig(model="gnp", n=30, p=0.5, replicates=5, seed=2)
     rep = run_experiment(cfg)
     assert rep.skipped == 5
     assert rep.empirical_median is None
@@ -267,10 +264,9 @@ def test_experiment_skip_budget():
     assert payload["computed"] == 0 and payload["skipped"] == 5
 
 
-def test_experiment_bipartite_marked_edge():
-    cfg = ExperimentConfig(
-        model="bipartite", n=150, p=3 / 150, replicates=10, seed=4, reference_samples=1000
-    )
+def test_experiment_bipartite_marked_edge(monkeypatch):
+    monkeypatch.setattr(randgraph, "DEFAULT_REFERENCE_SAMPLES", 1000)
+    cfg = ExperimentConfig(model="bipartite", n=150, p=3 / 150, replicates=10, seed=4)
     rep = run_experiment(cfg)
     assert len(rep.rows) == 10
     for row in rep.rows:
@@ -307,7 +303,7 @@ def test_near_perfect_matching_dense():
             right=tuple(range(n, 2 * n)),
             adjacency=tuple(g.edges()),
         )
-        if max_matching(inst, stop_at=450).size >= 450:
+        if max_matching(inst).size >= 450:
             hits += 1
     assert hits >= 95
 
@@ -322,7 +318,7 @@ def test_near_perfect_matching_sparse():
             right=tuple(range(n, 2 * n)),
             adjacency=tuple(g.edges()),
         )
-        if max_matching(inst, stop_at=450).size >= 450:
+        if max_matching(inst).size >= 450:
             hits += 1
     assert hits <= 5
 
