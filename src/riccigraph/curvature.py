@@ -17,7 +17,6 @@ from .graph import (
     CoreNeighborhood,
     Graph,
     NeighborPartition,
-    components_within,
     core_neighborhood,
     neighbor_partition,
     two_coloring,
@@ -112,7 +111,7 @@ def ricci_bipartite_formula(g: Graph, x: int, y: int) -> CurvatureResult:
     """
     if not g.is_bipartite():
         raise NotApplicableError("graph is not bipartite", witness=two_coloring(g)[1])
-    return _bipartite_from_partition(g, x, y, neighbor_partition(g, x, y))
+    return _bipartite_from_partition(core_neighborhood(g, x, y))
 
 
 def _max_flow(lows, ups, adj, dx: int, dy: int) -> int:
@@ -137,16 +136,13 @@ def _subset_gain(lows, ups, adj, dx: int, dy: int) -> Fraction:
     return Fraction(len(lows), dy) - Fraction(cut, dx * dy)
 
 
-def _bipartite_from_partition(
-    g: Graph, x: int, y: int, part: NeighborPartition
-) -> CurvatureResult:
+def _bipartite_from_partition(core: CoreNeighborhood) -> CurvatureResult:
+    g, x, y, part = core.graph, core.x, core.y, core.partition
     # no triangles in a bipartite graph, so the common neighborhood is empty
     assert not part.delta
     dx, dy = g.degree(x), g.degree(y)
-    side_x = set(part.n1_x)
-    adj = {v: [w for w in g.neighbors(v) if w in side_x] for v in part.n1_y}
     inner = ONE - Fraction(1, dx) - Fraction(1, dy) - Fraction(len(part.n1_y), dy)
-    inner += _subset_gain(part.n1_y, part.n1_x, adj, dx, dy)
+    inner += _subset_gain(part.n1_y, part.n1_x, core.n1_arcs(), dx, dy)
     kappa = -2 * positive_part(inner)
     return CurvatureResult(edge=(x, y), kappa=kappa, method="bipartite")
 
@@ -216,15 +212,34 @@ def jost_liu_bounds(
 def bipartite_upper_bound(
     g: Graph, x: int, y: int, *, core: CoreNeighborhood | None = None
 ) -> BoundPair:
-    """Upper bound for bipartite hosts; equality candidate when R(x,y) is connected."""
+    """Upper bound for bipartite hosts; equality candidate when R(x,y) is connected.
+
+    R(x,y) is the subgraph induced on N1(x) | N1(y).  Its edges are the
+    core's n1_arcs, the bipartite closed form's cut arcs, and every vertex
+    has one (delta is empty), so it is connected when one search over the
+    arcs from the first N1(y) vertex reaches all of N1(y).
+    """
     if not g.is_bipartite():
         raise NotApplicableError("graph is not bipartite", witness=two_coloring(g)[1])
-    part = (core or core_neighborhood(g, x, y)).partition
+    core = core or core_neighborhood(g, x, y)
+    part = core.partition
     dx, dy = g.degree(x), g.degree(y)
     share = min(Fraction(len(part.n1_x), dx), Fraction(len(part.n1_y), dy))
     upper = -2 * positive_part(ONE - Fraction(1, dx) - Fraction(1, dy) - share)
-    components = components_within(g, part.n1_x + part.n1_y)
-    note = "r_connected" if len(components) <= 1 else None
+    arcs = core.n1_arcs()
+    back = {}  # N1(x) vertex -> its N1(y) neighbours
+    for v, ws in arcs.items():
+        for w in ws:
+            back.setdefault(w, []).append(v)
+    reached = set(part.n1_y[:1])
+    stack = list(reached)
+    while stack:
+        for w in arcs[stack.pop()]:
+            for v in back.pop(w, ()):
+                if v not in reached:
+                    reached.add(v)
+                    stack.append(v)
+    note = "r_connected" if len(reached) == len(arcs) else None
     return BoundPair(lower=Fraction(-2), upper=upper, source="bipartite_upper", note=note)
 
 
@@ -273,7 +288,7 @@ def _dispatch(core: CoreNeighborhood, verify: bool, cap: int | None) -> Curvatur
     if part.all_empty():
         result = _girth6_from_partition(g, x, y)
     elif not part.delta and g.is_bipartite():
-        result = _bipartite_from_partition(g, x, y, part)
+        result = _bipartite_from_partition(core)
     elif not (part.delta or part.n1_x or part.n1_y) and g.has_girth_5():
         result = _girth5_from_partition(g, x, y, part)
     elif cap is not None:

@@ -415,13 +415,16 @@ class CoreNeighborhood:
 
     Phi edges run between delta and P(x, y); removing them does not change the
     transport problem but shrinks the support the dual oracle has to search.
-    Local distances come from three bitset sweeps (see local_distance) and are
-    truncated at 4: pairs farther apart or disconnected in the core read 4,
-    which keeps a metric and leaves every transport distance as it is.
+    Core distances are kept as bitset balls of radius 1, 2 and 3 (see
+    local_distance), with no matrix: the 2-matching bound reads one bit of
+    ball_2 per pair, and the dual oracle expands the balls into the distance
+    matrix truncated at 4, where pairs farther apart or disconnected in the
+    core read 4.  That keeps a metric and leaves every transport distance as
+    it is.
     """
 
     __slots__ = (
-        "graph", "partition", "x", "y", "vertices", "index", "_local_distance", "_costs",
+        "graph", "partition", "x", "y", "vertices", "index", "_balls", "_costs", "_n1_arcs",
     )
 
     def __init__(self, graph: Graph, partition: NeighborPartition):
@@ -437,8 +440,9 @@ class CoreNeighborhood:
         )
         self.vertices = tuple(verts)
         self.index = {v: i for i, v in enumerate(verts)}
-        self._local_distance = None
+        self._balls = None
         self._costs = None
+        self._n1_arcs = None
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -458,14 +462,15 @@ class CoreNeighborhood:
     def d_y(self) -> int:
         return self.graph.degree(self.y)
 
-    def local_distance(self) -> list[list[int]]:
-        """Pairwise core distances in core-index order, truncated at 4; cached.
+    def local_distance(self) -> tuple[list[int], list[int], list[int]]:
+        """Core distance balls (ball_1, ball_2, ball_3), each in core-index order; cached.
 
-        ball[i] starts as the bit of core index i, and each of three sweeps
-        ORs into it the balls of i's core neighbours.  A bit j that first
-        appears in sweep d sets entry (i, j) to d; every other entry stays 4.
+        Bit j of ball_d[i] is set exactly when the core distance from index i
+        to index j is at most d.  Each sweep ORs into ball_(d-1)[i], starting
+        from the bit of i alone, the balls of i's core neighbours.  A pair
+        with no bit in ball_3 is farther apart or disconnected in the core.
         """
-        if self._local_distance is None:
+        if self._balls is None:
             idx, adj = self.index, self.graph._adj
             dset, pset = set(self.partition.delta), set(self.partition.p_xy)
             nbrs = []
@@ -473,25 +478,33 @@ class CoreNeighborhood:
                 # the induced core without phi edges (delta to P)
                 skip = pset if v in dset else dset if v in pset else ()
                 nbrs.append([idx[w] for w in adj[v] if w in idx and w not in skip])
-            mat = [[4] * len(nbrs) for _ in nbrs]
-            for i, row in enumerate(mat):
-                row[i] = 0
             ball = [1 << i for i in range(len(nbrs))]
-            for d in (1, 2, 3):
+            balls = []
+            for _ in range(3):
                 grown = []
-                for row, old, nb in zip(mat, ball, nbrs):
-                    new = old
+                for new, nb in zip(ball, nbrs):
                     for j in nb:
                         new |= ball[j]
-                    fresh = new ^ old
-                    while fresh:
-                        low = fresh & -fresh
-                        row[low.bit_length() - 1] = d
-                        fresh ^= low
                     grown.append(new)
                 ball = grown
-            self._local_distance = mat
-        return self._local_distance
+                balls.append(ball)
+            self._balls = tuple(balls)
+        return self._balls
+
+    def n1_arcs(self) -> dict[int, list[int]]:
+        """Each N1(y) vertex's neighbours in N1(x), ascending; cached.
+
+        The bipartite closed form cuts over these arcs.  On a bipartite host
+        N(x) and N(y) are independent sets, so they are every edge of the
+        subgraph induced on N1(x) | N1(y).
+        """
+        if self._n1_arcs is None:
+            side_x = set(self.partition.n1_x)
+            adj = self.graph._adj
+            self._n1_arcs = {
+                v: [w for w in adj[v] if w in side_x] for v in self.partition.n1_y
+            }
+        return self._n1_arcs
 
     def transport_costs(self) -> list[list[int]] | np.ndarray:
         """Distance matrix d_G(z1, z2) over rows x cols; every entry is in 0..3.

@@ -142,8 +142,9 @@ def two_matching_lower_bound(
 ) -> BoundPair:
     """Lower bound -2 + (3|Delta| + k + 2)/dmax from a maximum 2-matching.
 
-    The 2-matching pairs R(x) against R(y) at core distance <= 2 and reduces
-    to an ordinary matching on that auxiliary instance.
+    The 2-matching pairs R(x) against R(y) at core distance <= 2, one bit of
+    the core's ball_2 per pair, and reduces to an ordinary matching on that
+    auxiliary instance.
     """
     core = core or core_neighborhood(g, x, y)
     delta = frozenset(core.partition.delta)
@@ -152,10 +153,10 @@ def two_matching_lower_bound(
     dmax = max(dx, dy)
     rx = tuple(v for v in g.neighbors(x) if v != y and v not in delta)
     ry = tuple(v for v in g.neighbors(y) if v != x and v not in delta)
-    dist = core.local_distance()
+    ball_2 = core.local_distance()[1]
     idx = core.index
     pairs = tuple(
-        (a, b) for a in rx for b in ry if dist[idx[a]][idx[b]] <= 2
+        (a, b) for a in rx for b in ry if ball_2[idx[a]] >> idx[b] & 1
     )
     inst = MatchingInstance(left=rx, right=ry, adjacency=pairs)
     k = max_matching(inst).size

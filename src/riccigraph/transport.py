@@ -3,16 +3,18 @@
 Two independent routes compute the same number.  The primal route scales both
 uniform measures by L = lcm(d_x, d_y) and solves an integral min-cost
 transportation problem (total unimodularity makes the integer optimum the LP
-optimum).  The dual route exhaustively maximizes sum f d(m_x - m_y) over
-integer-valued 1-Lipschitz functions anchored at f(x) = 0; it is the
-exponential reference that ricci_lp checks the primal value against on small
-cores.  The primal value needs no separate plan as its certificate: the
-solver checks its integer flow against integer potentials (complementary
-slackness and equal dual objective) before returning.
+optimum), reduced to the mass that has to move.  The dual route exhaustively
+maximizes sum f d(m_x - m_y) over integer-valued 1-Lipschitz functions
+anchored at f(x) = 0; it is the exponential reference that ricci_lp checks
+the primal value against on small cores.  The primal value needs no separate
+plan as its certificate: the solver checks its integer flow against integer
+potentials (complementary slackness and equal dual objective) before
+returning.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -371,14 +373,77 @@ def _check_dual(
         raise RuntimeError("transport dual certificate does not match primal cost")
 
 
-def w1_primal(core: CoreNeighborhood) -> Fraction:
-    """Exact W1 between m_x and m_y, the certified optimum of the scaled LP."""
+def _reduced_instance(
+    core: CoreNeighborhood,
+) -> tuple[list[list[int]] | np.ndarray, list[int], list[int]]:
+    """The costs, supplies and demands that w1_primal solves (see there)."""
     dx, dy = core.d_x, core.d_y
     scale = lcm(dx, dy)
-    total, _ = solve_transportation(
-        core.transport_costs(), [scale // dx] * dx, [scale // dy] * dy
-    )
-    return Fraction(total, scale)
+    a, b = scale // dx, scale // dy
+    supply, demand = [a] * dx, [b] * dy
+    rows, cols = core.rows, core.cols
+    for z in core.partition.delta:
+        supply[bisect_left(rows, z)] -= min(a, b)
+        demand[bisect_left(cols, z)] -= min(a, b)
+    keep_r = [i for i, s in enumerate(supply) if s]
+    keep_c = [j for j, t in enumerate(demand) if t]
+    supply = [supply[i] for i in keep_r]
+    demand = [demand[j] for j in keep_c]
+    cost = core.transport_costs()
+    if isinstance(cost, np.ndarray):
+        if len(keep_r) < dx or len(keep_c) < dy:
+            cost = cost[np.ix_(keep_r, keep_c)]
+        return cost, supply, demand
+    kept_rows = [cost[i] for i in keep_r]
+    if len(keep_c) < dy:
+        kept_rows = [[row[j] for j in keep_c] for row in kept_rows]
+    by_row: dict[tuple[int, ...], int] = {}
+    for row, s in zip(map(tuple, kept_rows), supply):
+        by_row[row] = by_row.get(row, 0) + s
+    by_col: dict[tuple[int, ...], int] = {}
+    for key, t in zip(zip(*by_row), demand):
+        by_col[key] = by_col.get(key, 0) + t
+    return [list(r) for r in zip(*by_col)], list(by_row.values()), list(by_col.values())
+
+
+def w1_primal(core: CoreNeighborhood) -> Fraction:
+    """Exact W1 between m_x and m_y, the certified optimum of a reduced instance.
+
+    The full instance ships L/d_x from each row of N(x) to L/d_y at each
+    column of N(y), L = lcm(d_x, d_y).  W1 reads only m_x - m_y
+    (Kantorovich-Rubinstein duality), so it shrinks without changing its
+    optimum.  Each vertex of delta keeps min(L/d_x, L/d_y) in place, and
+    rows and columns left without mass are dropped, so no cost-0 cell
+    remains.  On nested-list costs, rows with equal cost vectors then merge
+    into one with their supplies summed, and columns likewise with their
+    demands; splitting a merged row or column back is exact.  An ndarray (a
+    dense core) is only sliced, since hashing its rows costs more than the
+    smaller solve saves.
+    """
+    total, _ = solve_transportation(*_reduced_instance(core))
+    return Fraction(total, lcm(core.d_x, core.d_y))
+
+
+def _distance_matrix(balls: tuple[list[int], ...]) -> list[list[int]]:
+    """Core distances truncated at 4, expanded from CoreNeighborhood.local_distance.
+
+    Entry (i, j) is the least d with bit j in ball_d[i], 0 on the diagonal
+    and 4 where no ball holds j.
+    """
+    mat = []
+    for i in range(len(balls[0])):
+        row = [4] * len(balls[0])
+        row[i] = 0
+        inner = 1 << i
+        for d, ball in enumerate(balls, start=1):
+            fresh = ball[i] ^ inner
+            while fresh:
+                low = fresh & -fresh
+                row[low.bit_length() - 1] = d
+                fresh ^= low
+            inner = ball[i]
+        mat.append(row)
+    return mat
 
 
 def w1_dual_oracle(
@@ -397,7 +462,7 @@ def w1_dual_oracle(
     n = len(verts)
     if n > cap:
         raise OracleCapExceededError(n, cap)
-    dmat = core.local_distance()
+    dmat = _distance_matrix(core.local_distance())
     xi = core.index[core.x]
     dx, dy = core.d_x, core.d_y
     scale = lcm(dx, dy)

@@ -16,6 +16,7 @@ from riccigraph import (
     generate_family,
     solve_transportation,
 )
+from riccigraph.transport import _distance_matrix
 
 HALL_SCAN_LIMIT = 20
 
@@ -302,7 +303,7 @@ def check_certificates(core, value, witness):
     assert [sum(row) for row in flow] == supply
     assert [sum(col) for col in zip(*flow)] == demand
     assert all(f >= 0 for row in flow for f in row)
-    dist = core.local_distance()
+    dist = _distance_matrix(core.local_distance())
     idx = core.index
     moved = sum(
         flow[i][j] * dist[idx[u]][idx[v]]

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -10,6 +13,7 @@ from riccigraph import (
     NotApplicableError,
     VerificationError,
     bipartite_upper_bound,
+    bounds_to_dict,
     core_neighborhood,
     curvature_all,
     curvature_bounds,
@@ -23,9 +27,11 @@ from riccigraph import (
     ricci_girth5_formula,
     ricci_girth6_formula,
     ricci_lp,
+    sample_bipartite,
     w1_dual_oracle,
 )
 from riccigraph import curvature
+from riccigraph.graph import components_within
 from conftest import (
     bfs_distance_capped,
     cycle_graph,
@@ -320,6 +326,38 @@ def test_bipartite_upper_bound_c4():
     assert bp.note == "r_connected"
     with pytest.raises(NotApplicableError):
         bipartite_upper_bound(cycle_graph(5), 0, 1)
+
+
+def _bipartite_note_corpus():
+    for d in range(1, 7):
+        yield generate_family("hypercube", [d])
+    for p in range(1, 6):
+        for q in range(p, 6):
+            yield generate_family("complete_bipartite", [p, q])
+    for seed, (m, n, p) in enumerate([(20, 20, 0.15), (30, 25, 0.1), (40, 40, 0.06), (15, 30, 0.2)]):
+        yield sample_bipartite(m, n, p, seed, (0, m))
+
+
+def test_r_connected_note_pinned():
+    # The note comes from the core's N1 arcs.  Reference: components_within
+    # on N1(x) | N1(y) in the host graph; the digest pins the serialized bound
+    # over every oriented edge of Q_1..Q_6, K_{p,q} (p <= q <= 5) and four
+    # seeded G(m, n, p).
+    digest = hashlib.sha256()
+    notes = Counter()
+    for g in _bipartite_note_corpus():
+        for u, v in g.edges():
+            for x, y in ((u, v), (v, u)):
+                bp = bipartite_upper_bound(g, x, y)
+                part = neighbor_partition(g, x, y)
+                connected = len(components_within(g, part.n1_x + part.n1_y)) <= 1
+                assert bp.note == ("r_connected" if connected else None), (x, y)
+                notes[bp.note] += 1
+                digest.update(json.dumps(bounds_to_dict([bp]), sort_keys=True).encode())
+    assert notes == {"r_connected": 834, None: 752}
+    assert digest.hexdigest() == (
+        "001586e5c10867a5f4e0a0ae3a3927e681887303c8dfb568bdeb5eac9d913ec2"
+    )
 
 
 def test_cho_paeng_bound_tight_on_petersen():

@@ -14,7 +14,7 @@ from riccigraph import (
     w1_primal,
 )
 from riccigraph.graph import _DENSE_CELLS
-from riccigraph.randgraph import canonical_regime_params, sample_gnp
+from riccigraph.randgraph import canonical_regime_params, replicate_seed, sample_gnp
 from riccigraph.errors import OracleCapExceededError
 from conftest import check_certificates, random_girth5_graphs
 
@@ -238,6 +238,41 @@ def test_w1_single_edge():
     assert w1_primal(core) == 1
     assert core.rows == (1,) and core.cols == (0,)
     assert solve_transportation(core.transport_costs(), [1], [1]) == (1, [[1]])
+
+
+def _reduction_cases():
+    """Oriented edges of seeded G(n, p) graphs (nested-list costs), then the
+    marked edges of regime-f replicates (ndarray costs)."""
+    for seed, (n, p) in enumerate([(30, 0.3), (60, 0.15), (80, 0.1), (40, 0.5)]):
+        g = sample_gnp(n, p, seed, (0, 1))
+        for u, v in list(g.edges())[:60]:
+            yield "list", core_neighborhood(g, u, v)
+            yield "list", core_neighborhood(g, v, u)
+    n, p = canonical_regime_params("gnp", "f")
+    for index in range(3):
+        g = sample_gnp(n, p, replicate_seed(7, index), (0, 1))
+        yield "ndarray", core_neighborhood(g, 0, 1)
+
+
+def test_reduced_instance_keeps_w1():
+    # W1 reads only m_x - m_y: cancelling the common mass on delta and
+    # merging equal cost vectors leaves the unreduced optimum in place.
+    cells = {"list": [0, 0], "ndarray": [0, 0]}
+    for form, core in _reduction_cases():
+        dx, dy = core.d_x, core.d_y
+        scale = lcm(dx, dy)
+        full = core.transport_costs()
+        assert isinstance(full, np.ndarray) == (form == "ndarray")
+        unreduced, _ = solve_transportation(full, [scale // dx] * dx, [scale // dy] * dy)
+        assert w1_primal(core) * scale == unreduced
+        cost, supply, demand = transport._reduced_instance(core)
+        assert isinstance(cost, np.ndarray) == (form == "ndarray")
+        assert all(c > 0 for row in np.asarray(cost).tolist() for c in row)
+        assert all(supply) and all(demand) and sum(supply) == sum(demand)
+        cells[form][0] += dx * dy
+        cells[form][1] += len(supply) * len(demand)
+    # every form shrinks: the list form merges, and regime f has triangles
+    assert all(after < before for before, after in cells.values()), cells
 
 
 def test_w1_symmetry():
