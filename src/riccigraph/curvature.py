@@ -199,13 +199,13 @@ def jost_liu_bounds(
     dx, dy = g.degree(x), g.degree(y)
     dmax, dmin = max(dx, dy), min(dx, dy)
     tri = len(core.partition.delta)
-    upper = Fraction(tri, dmax)
-    base = ONE - Fraction(1, dx) - Fraction(1, dy)
-    lower = (
-        upper
-        - positive_part(base - Fraction(tri, dmin))
-        - positive_part(base - Fraction(tri, dmax))
+    # over the common denominator d_x d_y: 1 - 1/d_x - 1/d_y is b, and
+    # tri/dmax, tri/dmin are tri*dmin, tri*dmax
+    b = dx * dy - dx - dy
+    lower = Fraction(
+        tri * dmin - max(b - tri * dmax, 0) - max(b - tri * dmin, 0), dx * dy
     )
+    upper = Fraction(tri, dmax)
     return BoundPair(lower=lower, upper=upper, source="jost_liu")
 
 
@@ -224,8 +224,9 @@ def bipartite_upper_bound(
     core = core or core_neighborhood(g, x, y)
     part = core.partition
     dx, dy = g.degree(x), g.degree(y)
-    share = min(Fraction(len(part.n1_x), dx), Fraction(len(part.n1_y), dy))
-    upper = -2 * positive_part(ONE - Fraction(1, dx) - Fraction(1, dy) - share)
+    # over d_x d_y: -2(1 - 1/d_x - 1/d_y - min(|N1(x)|/d_x, |N1(y)|/d_y))_+
+    share = min(len(part.n1_x) * dy, len(part.n1_y) * dx)
+    upper = Fraction(-2 * max(dx * dy - dx - dy - share, 0), dx * dy)
     arcs = core.n1_arcs()
     back = {}  # N1(x) vertex -> its N1(y) neighbours
     for v, ws in arcs.items():
@@ -253,7 +254,7 @@ def curvature_bounds(
     if not core.partition.delta:
         bounds.append(
             BoundPair(
-                lower=-2 * positive_part(ONE - Fraction(1, dx) - Fraction(1, dy)),
+                lower=Fraction(-2 * max(dx * dy - dx - dy, 0), dx * dy),
                 upper=Fraction(0),
                 source="triangle_free",
             )
@@ -268,7 +269,7 @@ def curvature_bounds(
             bounds.append(
                 BoundPair(
                     lower=Fraction(-2),
-                    upper=Fraction(-1) + Fraction(2, delta_min),
+                    upper=Fraction(2 - delta_min, delta_min),
                     source="cho_paeng_girth5",
                 )
             )

@@ -3,7 +3,10 @@
 Curvature lower bounds come from matchings in the core: adjacent pairs
 (1-matchings) between Q(x) = N(x)\\Delta and Q(y) = N(y)\\Delta, and
 distance-<=2 pairs (2-matchings) between the endpoint-free sets R(x), R(y).
-Q keeps the opposite endpoint (y in Q(x), x in Q(y)); R drops both.
+Q keeps the opposite endpoint (y in Q(x), x in Q(y)); R drops both.  Both
+instances are read from the core's distance balls (ball_1 and ball_2) and
+solved by one bitmask augmenting-path matcher, `max_matching`; each bound
+value is one Fraction over integer numerators.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GraphInputError, NotApplicableError
-from .graph import CoreNeighborhood, Graph, core_neighborhood, neighbor_partition
+from .graph import CoreNeighborhood, Graph, core_neighborhood
 
 @dataclass(frozen=True)
 class BoundPair:
@@ -45,74 +48,83 @@ class MatchingResult:
     size: int
 
 
-def _augment(a0: int, adj: dict[int, list[int]], match_r: dict[int, int], seen: set) -> bool:
-    # Iterative alternating DFS.  A free right is claimed before any reroute
-    # is tried, and both scans run ascending, so each left prefers the least
-    # right that is still free when its turn comes.
-
-    def free_right(a: int) -> int | None:
-        for b in adj[a]:
-            if b not in seen and b not in match_r:
-                seen.add(b)
-                return b
-        return None
-
-    b0 = free_right(a0)
-    if b0 is not None:
-        match_r[b0] = a0
-        return True
-    stack = [(a0, iter(adj[a0]))]
-    arcs: list[tuple[int, int]] = []
-    while stack:
-        a, it = stack[-1]
-        b = next(it, None)
-        if b is None:
-            stack.pop()
-            if arcs:
-                arcs.pop()
-            continue
-        if b in seen or b not in match_r:
-            # frees were swept when this frame opened; none appear mid-search
-            continue
-        seen.add(b)
-        rerouted = match_r[b]
-        arcs.append((a, b))
-        nb = free_right(rerouted)
-        if nb is not None:
-            arcs.append((rerouted, nb))
-            for aa, bb in arcs:
-                match_r[bb] = aa
-            return True
-        stack.append((rerouted, iter(adj[rerouted])))
-    return False
-
-
 def max_matching(inst: MatchingInstance) -> MatchingResult:
     """Maximum-cardinality matching; deterministic under the instance ordering.
 
-    Left vertices are processed in ascending id.
+    Left vertices are processed in ascending id, each by one iterative
+    augmenting-path search over bitmasks: bit j stands for the j-th smallest
+    right id.  A free right is claimed before any reroute is tried, and both
+    scans take the lowest bit first, so each left prefers the least right
+    that is still free when its turn comes.
     """
-    adj: dict[int, list[int]] = {a: [] for a in inst.left}
+    right = sorted(inst.right)
+    bit = {b: 1 << j for j, b in enumerate(right)}
+    nbr = dict.fromkeys(inst.left, 0)
     for a, b in inst.adjacency:
-        adj[a].append(b)
-    for a in adj:
-        adj[a] = sorted(set(adj[a]))
-    match_r: dict[int, int] = {}
-    size = 0
-    for a in sorted(inst.left):
-        if _augment(a, adj, match_r, set()):
-            size += 1
-    pairs = tuple(sorted((a, b) for b, a in match_r.items()))
-    return MatchingResult(pairs=pairs, size=size)
+        nbr[a] |= bit[b]
+    owner: dict[int, int] = {}  # right bit -> its matched left
+    free = (1 << len(right)) - 1
+    for a0 in sorted(nbr):
+        hit = nbr[a0] & free
+        if hit:
+            hit &= -hit
+            owner[hit] = a0
+            free ^= hit
+            continue
+        # alternating DFS; `unseen` holds the matched rights not yet tried
+        unseen = ~free
+        path = [(a0, 0)]  # (left, right bit taken from it)
+        while path:
+            a = path[-1][0]
+            step = nbr[a] & unseen
+            if not step:
+                path.pop()
+                continue
+            step &= -step
+            unseen ^= step
+            path[-1] = (a, step)
+            rerouted = owner[step]
+            hit = nbr[rerouted] & free
+            if hit:
+                hit &= -hit
+                path.append((rerouted, hit))
+                for aa, bb in path:
+                    owner[bb] = aa
+                free ^= hit
+                break
+            path.append((rerouted, 0))
+    pairs = tuple(sorted((a, right[b.bit_length() - 1]) for b, a in owner.items()))
+    return MatchingResult(pairs=pairs, size=len(pairs))
 
 
-def _q_instance(g: Graph, x: int, y: int, delta: frozenset) -> MatchingInstance:
-    # Q(x) against Q(y), paired when adjacent
-    qx = tuple(v for v in g.neighbors(x) if v not in delta)
-    qy = tuple(v for v in g.neighbors(y) if v not in delta)
-    qy_set = set(qy)
-    pairs = tuple((a, b) for a in qx for b in g.neighbors(a) if b in qy_set)
-    return MatchingInstance(left=qx, right=qy, adjacency=pairs)
+def _ball_instance(core: CoreNeighborhood, radius: int) -> MatchingInstance:
+    """Q(x) x Q(y) pairs at core distance 1 (radius 1), or R(x) x R(y) pairs
+    at core distance <= 2 (radius 2), read from the core's balls.
+
+    Q(x) = N(x) - Delta keeps y and Q(y) keeps x; R drops both.  Neither side
+    meets Delta or P, so no phi edge touches a pair, and a radius-1 pair is
+    exactly an edge of the graph.  The pairs are the set bits of each left
+    ball restricted to the right side, so the work grows with the pairs; core
+    indices ascend with vertex ids, so they come out in ascending order.
+    """
+    skip = set(core.partition.delta)
+    if radius == 2:
+        skip |= {core.x, core.y}
+    left = tuple([v for v in core.rows if v not in skip])
+    right = tuple([v for v in core.cols if v not in skip])
+    ball = core.local_distance()[radius - 1]
+    idx, verts = core.index, core.vertices
+    right_mask = 0
+    for b in right:
+        right_mask |= 1 << idx[b]
+    pairs = []
+    for a in left:
+        hits = ball[idx[a]] & right_mask
+        while hits:
+            low = hits & -hits
+            pairs.append((a, verts[low.bit_length() - 1]))
+            hits ^= low
+    return MatchingInstance(left=left, right=right, adjacency=tuple(pairs))
 
 
 def matching_lower_bound(
@@ -121,16 +133,13 @@ def matching_lower_bound(
     """Lower bound |Delta|/(dmax) - 2(1 - (|M| + |Delta|)/dmax) from a maximum
     matching M of adjacent pairs between Q(x) and Q(y); Eq-style upper |Delta|/dmax."""
     core = core or core_neighborhood(g, x, y)
-    delta = frozenset(core.partition.delta)
-    t = len(delta)
-    dx, dy = g.degree(x), g.degree(y)
-    dmax = max(dx, dy)
-    inst = _q_instance(g, x, y, delta)
+    t = len(core.partition.delta)
+    dmax = max(g.degree(x), g.degree(y))
+    inst = _ball_instance(core, 1)
     m = max_matching(inst).size
-    lower = Fraction(t, dmax) - 2 * (1 - Fraction(m + t, dmax))
     saturated = m == min(len(inst.left), len(inst.right))
     return BoundPair(
-        lower=lower,
+        lower=Fraction(3 * t + 2 * m - 2 * dmax, dmax),
         upper=Fraction(t, dmax),
         source="matching",
         note="saturated" if saturated else None,
@@ -147,23 +156,13 @@ def two_matching_lower_bound(
     auxiliary instance.
     """
     core = core or core_neighborhood(g, x, y)
-    delta = frozenset(core.partition.delta)
-    t = len(delta)
-    dx, dy = g.degree(x), g.degree(y)
-    dmax = max(dx, dy)
-    rx = tuple(v for v in g.neighbors(x) if v != y and v not in delta)
-    ry = tuple(v for v in g.neighbors(y) if v != x and v not in delta)
-    ball_2 = core.local_distance()[1]
-    idx = core.index
-    pairs = tuple(
-        (a, b) for a in rx for b in ry if ball_2[idx[a]] >> idx[b] & 1
-    )
-    inst = MatchingInstance(left=rx, right=ry, adjacency=pairs)
+    t = len(core.partition.delta)
+    dmax = max(g.degree(x), g.degree(y))
+    inst = _ball_instance(core, 2)
     k = max_matching(inst).size
-    lower = Fraction(-2) + Fraction(3 * t + k + 2, dmax)
-    saturated = k == min(len(rx), len(ry))
+    saturated = k == min(len(inst.left), len(inst.right))
     return BoundPair(
-        lower=lower,
+        lower=Fraction(3 * t + k + 2 - 2 * dmax, dmax),
         upper=Fraction(t, dmax),
         source="two_matching",
         note="saturated" if saturated else None,
@@ -171,20 +170,18 @@ def two_matching_lower_bound(
 
 
 def has_perfect_matching_between_neighborhoods(
-    g: Graph, x: int, y: int
+    g: Graph, x: int, y: int, *, core: CoreNeighborhood | None = None
 ) -> tuple[bool, MatchingResult]:
     """Whether Q(x) and Q(y) admit a perfect matching of adjacent pairs.
 
     Only defined for d_x = d_y (the regular-edge characterization: the answer
     is equivalent to kappa attaining its upper bound |Delta|/d).
     """
-    part = neighbor_partition(g, x, y)
+    core = core or core_neighborhood(g, x, y)
     dx, dy = g.degree(x), g.degree(y)
     if dx != dy:
         raise NotApplicableError(
             f"characterization needs d_x = d_y, got {dx} and {dy}"
         )
-    delta = frozenset(part.delta)
-    inst = _q_instance(g, x, y, delta)
-    result = max_matching(inst)
-    return result.size == dx - len(delta), result
+    result = max_matching(_ball_instance(core, 1))
+    return result.size == dx - len(core.partition.delta), result

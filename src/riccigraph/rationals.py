@@ -10,7 +10,8 @@ from fractions import Fraction
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 

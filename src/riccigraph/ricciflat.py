@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .curvature import ricci_auto
 from .errors import GraphInputError, NotApplicableError
-from .graph import Graph, connected_components, girth_at_least
+from .graph import Graph, connected_components, core_neighborhood, girth_at_least
 from .matching import has_perfect_matching_between_neighborhoods
 from .transport import DEFAULT_ORACLE_CAP
 
@@ -101,8 +101,9 @@ def check_regular_girth4_flat(g: Graph, *, cap: int = DEFAULT_ORACLE_CAP) -> Fla
         raise NotApplicableError("girth is not four")
     witness = None
     for u, v in g.edges():
-        has_pm, _ = has_perfect_matching_between_neighborhoods(g, u, v)
-        kappa = ricci_auto(g, u, v, cap=cap).kappa
+        core = core_neighborhood(g, u, v)
+        has_pm, _ = has_perfect_matching_between_neighborhoods(g, u, v, core=core)
+        kappa = ricci_auto(g, u, v, cap=cap, core=core).kappa
         if has_pm != (kappa == 0):
             raise RuntimeError(
                 f"matching criterion and curvature disagree on edge ({u}, {v})"

@@ -249,6 +249,61 @@ def hall_deficiency_bruteforce(inst):
     return best
 
 
+def max_matching_reference(inst):
+    """Maximum matching pairs by a set-and-dict augmenting search.
+
+    The reference for matching.max_matching, which must return the same
+    pairs: lefts go in ascending id, each runs an iterative alternating DFS
+    over ascending adjacency lists, and a free right is claimed before any
+    reroute is tried, so each left takes the least right still free when its
+    turn comes.
+    """
+    adj = {a: set() for a in inst.left}
+    for a, b in inst.adjacency:
+        adj[a].add(b)
+    adj = {a: sorted(bs) for a, bs in adj.items()}
+    match_r = {}
+
+    def augment(a0, seen):
+        def free_right(a):
+            for b in adj[a]:
+                if b not in seen and b not in match_r:
+                    seen.add(b)
+                    return b
+            return None
+
+        b0 = free_right(a0)
+        if b0 is not None:
+            match_r[b0] = a0
+            return
+        stack = [(a0, iter(adj[a0]))]
+        arcs = []
+        while stack:
+            a, it = stack[-1]
+            b = next(it, None)
+            if b is None:
+                stack.pop()
+                if arcs:
+                    arcs.pop()
+                continue
+            if b in seen or b not in match_r:
+                continue
+            seen.add(b)
+            rerouted = match_r[b]
+            arcs.append((a, b))
+            nb = free_right(rerouted)
+            if nb is not None:
+                arcs.append((rerouted, nb))
+                for aa, bb in arcs:
+                    match_r[bb] = aa
+                return
+            stack.append((rerouted, iter(adj[rerouted])))
+
+    for a in sorted(inst.left):
+        augment(a, set())
+    return tuple(sorted((a, b) for b, a in match_r.items()))
+
+
 def subset_gain_bruteforce(lows, ups, adj, dx, dy):
     """max over T subseteq lows of |T|/d_y - |N(T)|/d_x, by full subset scan.
 

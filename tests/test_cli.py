@@ -96,6 +96,39 @@ def test_curvature_all_csv_pinned_on_moderate_degree(tmp_path, monkeypatch, caps
     )
 
 
+RESULTS_DIGESTS = {
+    "Q7": ("hypercube", [7], "c9b2b169dcdd9d388043c9463c9fc58c70db2ffe49e24e535b1d69918a2f379a"),
+    "petersen": ("petersen", [], "e0083dfe4b538339606f834fad919a59b93ad69bb4b6866e3dad281e809d3697"),
+    "K7": ("complete", [7], "fe26284e3348fb643f0b7c6b45d80d4afc7e8e230f2a78de64a6e4fd99fb7752"),
+    "K3,4": (
+        "complete_bipartite", [3, 4],
+        "d89ca1cc69f55bc5542924d8c8213e8907ae9fe5087d50bf8093db2094a759d8",
+    ),
+    "gnp60": ("gnp", (60, 0.2), "df18bbfea11e7068d3bf7beb83bf74bec07f32be2df8e4bf3f9b218ba6f2bb7c"),
+    "gnp150": ("gnp", (150, 0.08), "13cd8c1c58a41e6c2bc20c0b24ba7f28810f74ed6ab110b2850e39fcfec156dc"),
+    "star30": ("star", [30], "d0da4aa56e18a14da42709bed8461ed37d8ca202216af28ec3b7a448b555436c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULTS_DIGESTS))
+def test_curvature_all_results_pinned(name, tmp_path, monkeypatch, capsys):
+    # Every bound value, float and note of `curvature --all`, as JSON.  The
+    # corpus mixes Delta, P, bipartite, girth-5 and star edges, so each bound
+    # and both matching instances shape these bytes.
+    from riccigraph import cli, sample_gnp
+
+    family, params, digest = RESULTS_DIGESTS[name]
+    g = sample_gnp(*params, 7, (0, 1)) if family == "gnp" else generate_family(family, params)
+    monkeypatch.delenv("RICCI_ORACLE_CAP", raising=False)
+    path = tmp_path / "g.txt"
+    path.write_text(write_edge_list(g))
+    assert cli.main(["curvature", "--graph", str(path), "--all"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results) == g.edge_count
+    text = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_exit_code_malformed_input(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 x\n")

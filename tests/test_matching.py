@@ -2,20 +2,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riccigraph import (
     Graph,
     GraphInputError,
     MatchingInstance,
     NotApplicableError,
+    core_neighborhood,
     generate_family,
     has_perfect_matching_between_neighborhoods,
     matching_lower_bound,
     max_matching,
     ricci_lp,
+    sample_gnp,
     two_matching_lower_bound,
 )
-from conftest import cycle_graph, hall_deficiency_bruteforce, path_graph, wagner_graph
+from conftest import (
+    cycle_graph,
+    hall_deficiency_bruteforce,
+    max_matching_reference,
+    path_graph,
+    wagner_graph,
+)
 
 
 def random_instance(rng, amax=8, bmax=8):
@@ -177,3 +187,72 @@ def test_matching_criterion_vs_kappa_on_regular_graphs():
             assert ok == (ricci_lp(g, u, v).kappa == 0)
             seen.add(ok)
     assert seen == {True, False}
+
+
+@st.composite
+def matching_instances(draw):
+    # duplicate pairs, empty sides and isolated lefts all occur; ids on the
+    # two sides interleave so right order is not insertion order
+    na = draw(st.integers(0, 8))
+    nb = draw(st.integers(0, 8))
+    ids = draw(st.permutations(range(na + nb)))
+    left, right = tuple(ids[:na]), tuple(ids[na:])
+    pairs = ()
+    if left and right:
+        # up to 30 draws from at most 64 pairs repeat often
+        pairs = tuple(
+            draw(st.lists(st.tuples(st.sampled_from(left), st.sampled_from(right)), max_size=30))
+        )
+    return MatchingInstance(left=left, right=right, adjacency=pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching_instances())
+@example(MatchingInstance(left=(3, 1), right=(2, 0), adjacency=((3, 0), (3, 0), (1, 0), (3, 2))))
+@example(MatchingInstance(left=(), right=(4, 5), adjacency=()))
+@example(MatchingInstance(left=(0, 1, 2), right=(), adjacency=()))
+@example(MatchingInstance(left=(0, 1, 2), right=(7,), adjacency=((2, 7),)))
+def test_max_matching_equals_reference(inst):
+    res = max_matching(inst)
+    assert res.pairs == max_matching_reference(inst)
+    assert res.size == len(res.pairs)
+
+
+def test_max_matching_long_forced_chain():
+    # left i sees rights i and i + 1 (right r has id R + r) and takes right i;
+    # the last left sees only right 0, which forces one augmenting path
+    # through every earlier left to the free right n
+    n, R = 20_000, 100_000
+    adjacency = [(i, R + r) for i in range(n) for r in (i, i + 1)] + [(n, R)]
+    inst = MatchingInstance(
+        left=tuple(range(n + 1)),
+        right=tuple(range(R, R + n + 1)),
+        adjacency=tuple(adjacency),
+    )
+    res = max_matching(inst)
+    assert res.size == n + 1
+    assert res.pairs == tuple((i, R + i + 1) for i in range(n)) + ((n, R),)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate_family("petersen", []),
+        generate_family("complete", [7]),
+        sample_gnp(60, 0.2, 7, (0, 1)),
+        sample_gnp(80, 0.12, 7, (0, 1)),
+    ],
+    ids=["petersen", "K7", "gnp60", "gnp80"],
+)
+def test_ball_1_on_q_sides_is_adjacency(g):
+    # The matching bound pairs Q(x) x Q(y) through ball_1.  Neither side
+    # meets delta or P, so no phi edge is lost and a bit is exactly an edge.
+    for u, v in g.edges():
+        for x, y in ((u, v), (v, u)):
+            core = core_neighborhood(g, x, y)
+            ball_1, idx = core.local_distance()[0], core.index
+            delta = set(core.partition.delta)
+            for a in core.rows:
+                for b in core.cols:
+                    if a not in delta and b not in delta:
+                        assert (ball_1[idx[a]] >> idx[b] & 1) == g.has_edge(a, b), (x, y, a, b)
