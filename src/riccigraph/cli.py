@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true")
     c.add_argument("--method", choices=["auto", "lp", "formula"], default="auto")
     c.add_argument("--format", choices=["json", "csv"], default="json")
-    c.add_argument("--verify", action="store_true", help="cross-check formulas against the LP")
+    c.add_argument("--verify", action="store_true", help="re-check every formula answer "
+                   "through the LP (an --method lp answer is always certified)")
     c.set_defaults(func=cmd_curvature)
 
     f = sub.add_parser("flat", help="Ricci-flatness report")

@@ -3,8 +3,10 @@
 Four routes to the same number: the transport LP, and closed forms for three
 structural regimes (no short cycles through the edge, bipartite host, global
 girth at least five).  ricci_auto dispatches cheapest-first and can be asked
-to re-check any formula answer against the LP.  Per-edge functions build the
-edge's CoreNeighborhood unless the caller passes the one it holds as `core=`.
+to re-check every formula answer against the LP, at any core size.  Per-edge
+functions build the edge's CoreNeighborhood unless the caller passes the one
+it holds as `core=`; the three closed forms take only the core, and the
+girth-5 cut reads its pentagon pairs through `core.pairs`.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotApplicableError, VerificationError
-from .graph import (
-    CoreNeighborhood,
-    Graph,
-    NeighborPartition,
-    core_neighborhood,
-    neighbor_partition,
-    two_coloring,
-)
+from .graph import CoreNeighborhood, Graph, NeighborPartition, core_neighborhood, two_coloring
 from .matching import BoundPair, matching_lower_bound, two_matching_lower_bound
 from .rationals import format_rational, positive_part
 from .transport import DEFAULT_ORACLE_CAP, _Flow, w1_dual_oracle, w1_primal
@@ -81,18 +76,18 @@ def ricci_girth6_formula(g: Graph, x: int, y: int) -> CurvatureResult:
 
     Covers every tree edge and every edge of a girth >= 6 graph.
     """
-    part = neighbor_partition(g, x, y)
-    if not part.all_empty():
+    core = core_neighborhood(g, x, y)
+    if not core.partition.all_empty():
         raise NotApplicableError(
             "a 3-, 4-, or 5-cycle is supported on the edge",
-            witness=_partition_witness(part),
+            witness=_partition_witness(core.partition),
         )
-    return _girth6_from_partition(g, x, y)
+    return _girth6_from_partition(core)
 
 
-def _girth6_from_partition(g: Graph, x: int, y: int) -> CurvatureResult:
-    kappa = -2 * positive_part(ONE - Fraction(1, g.degree(x)) - Fraction(1, g.degree(y)))
-    return CurvatureResult(edge=(x, y), kappa=kappa, method="tree_girth6")
+def _girth6_from_partition(core: CoreNeighborhood) -> CurvatureResult:
+    kappa = -2 * positive_part(ONE - Fraction(1, core.d_x) - Fraction(1, core.d_y))
+    return CurvatureResult(edge=(core.x, core.y), kappa=kappa, method="tree_girth6")
 
 
 def ricci_bipartite_formula(g: Graph, x: int, y: int) -> CurvatureResult:
@@ -163,22 +158,18 @@ def ricci_girth5_formula(g: Graph, x: int, y: int) -> CurvatureResult:
     """
     if not g.has_girth_5():
         raise NotApplicableError("graph has girth below five")
-    return _girth5_from_partition(g, x, y, neighbor_partition(g, x, y))
+    return _girth5_from_partition(core_neighborhood(g, x, y))
 
 
-def _girth5_from_partition(
-    g: Graph, x: int, y: int, part: NeighborPartition
-) -> CurvatureResult:
-    dx, dy = g.degree(x), g.degree(y)
+def _girth5_from_partition(core: CoreNeighborhood) -> CurvatureResult:
+    x, y, part = core.x, core.y, core.partition
+    dx, dy = core.d_x, core.d_y
     kappa0 = -positive_part(ONE - Fraction(1, dx) - Fraction(1, dy))
-    side_x = set(part.n2_x)
-    middles = set(part.p_xy)
-    # girth five keeps middles off both neighborhoods, so pentagon pairs are
-    # exactly the (N2(x), N2(y)) pairs with a common neighbor in P
-    adj = {
-        w: {z for m in g.neighbors(w) if m in middles for z in g.neighbors(m) if z in side_x}
-        for w in part.n2_y
-    }
+    # Girth five leaves delta empty, so the core has no phi edge.  An
+    # (N2(y), N2(x)) pair is never adjacent, and a common neighbour is never
+    # x, y or in N(x) | N(y), so core distance <= 2 is exactly a shared
+    # middle in P: a pentagon through the edge.
+    adj = core.pairs(part.n2_y, part.n2_x, 2)
     inner = TWO - Fraction(2, dx) - Fraction(2, dy) - Fraction(len(part.n2_y), dy)
     inner += _subset_gain(part.n2_y, part.n2_x, adj, dx, dy)
     kappa1 = -positive_part(inner)
@@ -282,16 +273,17 @@ def _dispatch(core: CoreNeighborhood, verify: bool, cap: int | None) -> Curvatur
     A common neighbor on the edge rules out both bipartiteness and girth 5, and
     a 4-cycle through the edge rules out girth 5, so the global facts are only
     consulted when the local partition leaves the regime possible.  cap is the
-    LP's oracle cap and the largest core a formula answer is re-checked on
-    under verify; None allows no LP and re-checks every core.
+    LP's oracle cap, and None allows no LP.  Under verify every formula answer
+    is re-checked through the LP, whatever the core size: the LP is
+    polynomial, and only the oracle needs a cap.
     """
     g, part, x, y = core.graph, core.partition, core.x, core.y
     if part.all_empty():
-        result = _girth6_from_partition(g, x, y)
+        result = _girth6_from_partition(core)
     elif not part.delta and g.is_bipartite():
         result = _bipartite_from_partition(core)
     elif not (part.delta or part.n1_x or part.n1_y) and g.has_girth_5():
-        result = _girth5_from_partition(g, x, y, part)
+        result = _girth5_from_partition(core)
     elif cap is not None:
         return ricci_lp(g, x, y, cap=cap, core=core)
     else:
@@ -300,7 +292,7 @@ def _dispatch(core: CoreNeighborhood, verify: bool, cap: int | None) -> Curvatur
             f"edge ({x}, {y}): no closed-form regime applies ({witness[0]} vertex {witness[1]})",
             witness=witness,
         )
-    if verify and (cap is None or len(core.vertices) <= cap):
+    if verify:
         lp_kappa = 1 - w1_primal(core)
         if lp_kappa != result.kappa:
             raise VerificationError((x, y), result.kappa, lp_kappa, result.method)
@@ -318,9 +310,10 @@ def ricci_auto(
 ) -> CurvatureResult:
     """Cheapest applicable route: girth6 formula, bipartite formula, girth5 formula, LP.
 
-    With verify=True any formula answer is recomputed through the LP (while
-    the core is within the oracle cap) and a mismatch raises rather than
-    returns.
+    With verify=True any formula answer is recomputed through the LP at any
+    core size, and a mismatch raises rather than returns.  An LP answer is
+    always certified by the solver's integer potentials; cap bounds only the
+    dual oracle's cross-check.
     """
     return _dispatch(core or core_neighborhood(g, x, y), verify, cap)
 

@@ -346,8 +346,11 @@ def components_within(g: Graph, vertices: Iterable[int]) -> list[tuple[int, ...]
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components, each sorted, ordered by least vertex."""
-    return components_within(g, range(g.vertex_count))
+    """Vertex sets of the connected components, each sorted, ordered by least vertex;
+    scanned on first use and cached among the graph's facts, returned as a fresh list."""
+    if "components" not in g._facts:
+        g._facts["components"] = components_within(g, range(g.vertex_count))
+    return list(g._facts["components"])
 
 
 @dataclass(frozen=True)
@@ -416,11 +419,11 @@ class CoreNeighborhood:
     Phi edges run between delta and P(x, y); removing them does not change the
     transport problem but shrinks the support the dual oracle has to search.
     Core distances are kept as bitset balls of radius 1, 2 and 3 (see
-    local_distance), with no matrix: the 2-matching bound reads one bit of
-    ball_2 per pair, and the dual oracle expands the balls into the distance
-    matrix truncated at 4, where pairs farther apart or disconnected in the
-    core read 4.  That keeps a metric and leaves every transport distance as
-    it is.
+    local_distance), with no matrix: `pairs` reads one ball bit per pair for
+    both matching bounds and the girth-5 cut, and the dual oracle expands
+    the balls into the distance matrix truncated at 4, where pairs farther
+    apart or disconnected in the core read 4.  That keeps a metric and
+    leaves every transport distance as it is.
     """
 
     __slots__ = (
@@ -490,6 +493,27 @@ class CoreNeighborhood:
                 balls.append(ball)
             self._balls = tuple(balls)
         return self._balls
+
+    def pairs(self, left, right, radius: int) -> dict[int, list[int]]:
+        """Each left vertex's right vertices within core distance `radius` (1 to 3).
+
+        They are the set bits of the left vertex's ball masked to the right
+        side, so the work grows with the pairs; core indices ascend with
+        vertex ids, so each list comes out ascending.
+        """
+        ball, idx, verts = self.local_distance()[radius - 1], self.index, self.vertices
+        mask = 0
+        for b in right:
+            mask |= 1 << idx[b]
+        out = {}
+        for a in left:
+            hits = ball[idx[a]] & mask
+            near = out[a] = []
+            while hits:
+                low = hits & -hits
+                near.append(verts[low.bit_length() - 1])
+                hits ^= low
+        return out
 
     def n1_arcs(self) -> dict[int, list[int]]:
         """Each N1(y) vertex's neighbours in N1(x), ascending; cached.

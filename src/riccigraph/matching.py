@@ -4,9 +4,11 @@ Curvature lower bounds come from matchings in the core: adjacent pairs
 (1-matchings) between Q(x) = N(x)\\Delta and Q(y) = N(y)\\Delta, and
 distance-<=2 pairs (2-matchings) between the endpoint-free sets R(x), R(y).
 Q keeps the opposite endpoint (y in Q(x), x in Q(y)); R drops both.  Both
-instances are read from the core's distance balls (ball_1 and ball_2) and
-solved by one bitmask augmenting-path matcher, `max_matching`; each bound
-value is one Fraction over integer numerators.
+instances are read through `CoreNeighborhood.pairs` from the core's distance
+balls (ball_1 and ball_2) and solved by one bitmask augmenting-path matcher,
+`max_matching`.  The two bounds share one body, which differs only in the
+radius, the numerator term (2|M| against k + 2) and the source name; each
+bound value is one Fraction over integer numerators.
 """
 
 from __future__ import annotations
@@ -99,32 +101,37 @@ def max_matching(inst: MatchingInstance) -> MatchingResult:
 
 def _ball_instance(core: CoreNeighborhood, radius: int) -> MatchingInstance:
     """Q(x) x Q(y) pairs at core distance 1 (radius 1), or R(x) x R(y) pairs
-    at core distance <= 2 (radius 2), read from the core's balls.
+    at core distance <= 2 (radius 2), read through `core.pairs`.
 
     Q(x) = N(x) - Delta keeps y and Q(y) keeps x; R drops both.  Neither side
     meets Delta or P, so no phi edge touches a pair, and a radius-1 pair is
-    exactly an edge of the graph.  The pairs are the set bits of each left
-    ball restricted to the right side, so the work grows with the pairs; core
-    indices ascend with vertex ids, so they come out in ascending order.
+    exactly an edge of the graph.
     """
     skip = set(core.partition.delta)
     if radius == 2:
         skip |= {core.x, core.y}
     left = tuple([v for v in core.rows if v not in skip])
     right = tuple([v for v in core.cols if v not in skip])
-    ball = core.local_distance()[radius - 1]
-    idx, verts = core.index, core.vertices
-    right_mask = 0
-    for b in right:
-        right_mask |= 1 << idx[b]
-    pairs = []
-    for a in left:
-        hits = ball[idx[a]] & right_mask
-        while hits:
-            low = hits & -hits
-            pairs.append((a, verts[low.bit_length() - 1]))
-            hits ^= low
-    return MatchingInstance(left=left, right=right, adjacency=tuple(pairs))
+    near = core.pairs(left, right, radius)
+    return MatchingInstance(left, right, tuple([(a, b) for a in left for b in near[a]]))
+
+
+def _ball_bound(
+    g: Graph, x: int, y: int, core: CoreNeighborhood | None, radius: int, source: str
+) -> BoundPair:
+    core = core or core_neighborhood(g, x, y)
+    t = len(core.partition.delta)
+    dmax = max(g.degree(x), g.degree(y))
+    inst = _ball_instance(core, radius)
+    m = max_matching(inst).size
+    saturated = m == min(len(inst.left), len(inst.right))
+    gain = 2 * m if radius == 1 else m + 2
+    return BoundPair(
+        lower=Fraction(3 * t + gain - 2 * dmax, dmax),
+        upper=Fraction(t, dmax),
+        source=source,
+        note="saturated" if saturated else None,
+    )
 
 
 def matching_lower_bound(
@@ -132,18 +139,7 @@ def matching_lower_bound(
 ) -> BoundPair:
     """Lower bound |Delta|/(dmax) - 2(1 - (|M| + |Delta|)/dmax) from a maximum
     matching M of adjacent pairs between Q(x) and Q(y); Eq-style upper |Delta|/dmax."""
-    core = core or core_neighborhood(g, x, y)
-    t = len(core.partition.delta)
-    dmax = max(g.degree(x), g.degree(y))
-    inst = _ball_instance(core, 1)
-    m = max_matching(inst).size
-    saturated = m == min(len(inst.left), len(inst.right))
-    return BoundPair(
-        lower=Fraction(3 * t + 2 * m - 2 * dmax, dmax),
-        upper=Fraction(t, dmax),
-        source="matching",
-        note="saturated" if saturated else None,
-    )
+    return _ball_bound(g, x, y, core, 1, "matching")
 
 
 def two_matching_lower_bound(
@@ -155,18 +151,7 @@ def two_matching_lower_bound(
     the core's ball_2 per pair, and reduces to an ordinary matching on that
     auxiliary instance.
     """
-    core = core or core_neighborhood(g, x, y)
-    t = len(core.partition.delta)
-    dmax = max(g.degree(x), g.degree(y))
-    inst = _ball_instance(core, 2)
-    k = max_matching(inst).size
-    saturated = k == min(len(inst.left), len(inst.right))
-    return BoundPair(
-        lower=Fraction(3 * t + k + 2 - 2 * dmax, dmax),
-        upper=Fraction(t, dmax),
-        source="two_matching",
-        note="saturated" if saturated else None,
-    )
+    return _ball_bound(g, x, y, core, 2, "two_matching")
 
 
 def has_perfect_matching_between_neighborhoods(

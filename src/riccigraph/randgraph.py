@@ -90,6 +90,14 @@ def _unpack_pairs(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _sample_marked(vertices, pairs, p, seed, unpack, mark) -> Graph:
+    # the conditioned-sampler body: `unpack` maps Bernoulli pair indices to
+    # endpoint arrays, and the marked edge is appended to them
+    _check_sample_size(vertices, pairs, float(p))
+    us, vs = unpack(_bernoulli_indices(_generator(seed), pairs, float(p)))
+    return Graph.from_arrays(vertices, np.append(us, mark[0]), np.append(vs, mark[1]))
+
+
 def sample_gnp(n: int, p: float, seed: int, mark: tuple[int, int]) -> Graph:
     """G(n, p) conditioned on the marked edge being present."""
     a, b = mark
@@ -97,14 +105,7 @@ def sample_gnp(n: int, p: float, seed: int, mark: tuple[int, int]) -> Graph:
         raise GraphInputError(f"edge probability {p} outside [0, 1]")
     if not (0 <= a < n and 0 <= b < n) or a == b:
         raise GraphInputError(f"marked edge ({a}, {b}) invalid for {n} vertices")
-    pairs = n * (n - 1) // 2
-    _check_sample_size(n, pairs, float(p))
-    ks = _bernoulli_indices(_generator(seed), pairs, float(p))
-    us, vs = _unpack_pairs(ks)
-    lo, hi = min(a, b), max(a, b)
-    us = np.append(us, lo)
-    vs = np.append(vs, hi)
-    return Graph.from_arrays(n, us, vs)
+    return _sample_marked(n, n * (n - 1) // 2, p, seed, _unpack_pairs, mark)
 
 
 def sample_bipartite(m: int, n: int, p: float, seed: int, mark: tuple[int, int]) -> Graph:
@@ -117,13 +118,7 @@ def sample_bipartite(m: int, n: int, p: float, seed: int, mark: tuple[int, int])
             f"marked edge ({a}, {b}) must join the left side [0, {m}) "
             f"to the right side [{m}, {m + n})"
         )
-    _check_sample_size(m + n, m * n, float(p))
-    ks = _bernoulli_indices(_generator(seed), m * n, float(p))
-    us = ks // n
-    vs = m + ks % n
-    us = np.append(us, a)
-    vs = np.append(vs, b)
-    return Graph.from_arrays(m + n, us, vs)
+    return _sample_marked(m + n, m * n, p, seed, lambda ks: (ks // n, m + ks % n), mark)
 
 
 def sample_tree_limit(lam: float, replicates: int, seed: int) -> list[Fraction]:
@@ -312,11 +307,11 @@ class ReplicateRow:
     index: int
     n: int
     p: float
-    kappa: Fraction | None
-    method: str | None
-    core_size: int | None
-    isolated: bool | None
-    skip: str | None
+    kappa: Fraction | None = None
+    method: str | None = None
+    core_size: int | None = None
+    isolated: bool | None = None
+    skip: str | None = None
 
 
 @dataclass(frozen=True)
@@ -407,10 +402,6 @@ def _replicate(config: ExperimentConfig, index: int) -> ReplicateRow:
             index=index,
             n=config.n,
             p=float(config.p),
-            kappa=None,
-            method=None,
-            core_size=None,
-            isolated=None,
             skip=f"transport instance {da}*{db} exceeds budget {DEFAULT_SIZE_BUDGET}",
         )
     core = core_neighborhood(g, a, b)
@@ -423,7 +414,6 @@ def _replicate(config: ExperimentConfig, index: int) -> ReplicateRow:
         method=result.method,
         core_size=_marked_core_size(core),
         isolated=(da == 1 and db == 1),
-        skip=None,
     )
 
 

@@ -324,6 +324,20 @@ def subset_gain_bruteforce(lows, ups, adj, dx, dy):
     return Fraction(best, dx * dy)
 
 
+def pentagon_pairs_reference(g, part):
+    """Each N2(y) vertex's N2(x) partners through a common neighbour in P.
+
+    The neighbour-of-middle scan the girth-5 closed form ran before it read
+    its pairs from the core's balls; the reference for
+    core.pairs(n2_y, n2_x, 2) on girth >= 5 hosts.
+    """
+    side_x, middles = set(part.n2_x), set(part.p_xy)
+    return {
+        w: {z for m in g.neighbors(w) if m in middles for z in g.neighbors(m) if z in side_x}
+        for w in part.n2_y
+    }
+
+
 def local_distance_bfs(core):
     """Core distances truncated at 4, one capped BFS per core vertex.
 

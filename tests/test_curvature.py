@@ -37,6 +37,8 @@ from conftest import (
     cycle_graph,
     dodecahedron,
     named_corpus,
+    nonfamily_girth5_graphs,
+    pentagon_pairs_reference,
     random_bipartite_graphs,
     random_girth5_graphs,
     random_trees,
@@ -211,6 +213,24 @@ def test_girth5_formula_matches_lp():
             assert res.kappa == kappa(g, u, v)
             assert res.kappa <= 0
             assert res.kappa == min(res.detail.kappa0, res.detail.kappa1, Fraction(0))
+
+
+def test_girth5_cut_pairs_match_middle_scan():
+    # On a girth >= 5 host the core has no phi edge, so core distance <= 2
+    # between N2(y) and N2(x) is exactly a shared middle vertex in P.
+    graphs = random_girth5_graphs() + nonfamily_girth5_graphs()
+    graphs += [generate_family("petersen", []), dodecahedron()]
+    found = 0
+    for g in graphs:
+        assert g.has_girth_5()
+        for u, v in g.edges():
+            for x, y in ((u, v), (v, u)):
+                core = core_neighborhood(g, x, y)
+                part = core.partition
+                pairs = core.pairs(part.n2_y, part.n2_x, 2)
+                assert {w: set(zs) for w, zs in pairs.items()} == pentagon_pairs_reference(g, part)
+                found += sum(map(len, pairs.values()))
+    assert found > 0
 
 
 def test_girth5_formula_rejects_square():
@@ -422,6 +442,27 @@ def test_verify_flag_passes_on_formula_paths():
     for g in (cycle_graph(5), cycle_graph(4), star_graph(6)):
         for u, v in g.edges():
             ricci_auto(g, u, v, verify=True)
+
+
+def test_verify_rechecks_cores_above_the_oracle_cap(monkeypatch):
+    # Every Q_4 core has 8 vertices, above cap=4; the LP re-check has no cap.
+    g = generate_family("hypercube", [4])
+    calls = []
+    original = curvature.w1_primal
+
+    def counted(core):
+        calls.append(core.x)
+        return original(core)
+
+    monkeypatch.setattr(curvature, "w1_primal", counted)
+    for u, v in g.edges():
+        assert ricci_auto(g, u, v, verify=True, cap=4).method == "bipartite"
+    assert len(calls) == g.edge_count
+    monkeypatch.setattr(curvature, "w1_primal", lambda core: Fraction(7))
+    core = core_neighborhood(g, 0, 1)
+    assert len(core.vertices) > 4
+    with pytest.raises(VerificationError):
+        ricci_auto(g, 0, 1, verify=True, cap=4, core=core)
 
 
 def test_result_serialization():

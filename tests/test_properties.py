@@ -149,6 +149,24 @@ def test_local_distance_matches_bfs(g):
 
 
 @PROPERTY
+@given(phi_graphs(), st.data())
+def test_core_pairs_match_distances(g, data):
+    # pairs(left, right, r) lists, for each left vertex, exactly the right
+    # vertices at core distance <= r, ascending whatever the order of right
+    for u, v in g.edges():
+        for x, y in ((u, v), (v, u)):
+            core = core_neighborhood(g, x, y)
+            dist, idx = _distance_matrix(core.local_distance()), core.index
+            subsets = st.lists(st.sampled_from(core.vertices), unique=True)
+            left, right = data.draw(subsets), data.draw(subsets)
+            for r in (1, 2, 3):
+                near = core.pairs(left, right, r)
+                assert list(near) == left
+                for a in left:
+                    assert near[a] == sorted(b for b in right if dist[idx[a]][idx[b]] <= r)
+
+
+@PROPERTY
 @given(graphs())
 def test_edge_list_round_trip(g):
     assert list(parse_edge_list(write_edge_list(g)).edges()) == list(g.edges())

@@ -26,7 +26,7 @@ from riccigraph import (
 )
 from riccigraph import curvature
 from riccigraph import graph as graph_module
-from conftest import dodecahedron
+from conftest import disjoint_union, dodecahedron
 
 COUNTED = ("neighbor_partition", "core_neighborhood", "two_coloring", "girth_at_least")
 
@@ -131,3 +131,28 @@ def test_curvature_all_runs_one_cut_per_formula_edge(label, monkeypatch):
     methods = [r.method for r in curvature_all(g)]
     assert set(methods) <= {"bipartite", "girth5"}
     assert len(calls) == len(methods) == g.edge_count
+
+
+@pytest.mark.parametrize(
+    "label, build",
+    [
+        ("Petersen", lambda: generate_family("petersen", [])),
+        ("disjoint", lambda: disjoint_union(dodecahedron(), generate_family("cycle", [4]))),
+    ],
+)
+def test_flat_scans_components_once(label, build, monkeypatch, tmp_path, capsys):
+    # flatness_with_classification, classify_girth5_flat and is_ricci_flat
+    # all ask for the components; the graph scans them once
+    path = tmp_path / "g.txt"
+    path.write_text(write_edge_list(build()))
+    calls = []
+    original = graph_module.components_within
+
+    def counted(g, vertices):
+        calls.append(g.vertex_count)
+        return original(g, vertices)
+
+    monkeypatch.setattr(graph_module, "components_within", counted)
+    assert cli.main(["flat", "--graph", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
