@@ -113,11 +113,11 @@ def _max_flow(lows, ups, adj, dx: int, dy: int) -> int:
     """Max flow from lows (supply d_x each) to ups (demand d_y each) over adj.
 
     Runs on the transport solver's blocking-flow walk: adj[v] lists the ups
-    low v reaches, and those arcs are uncapacitated.
+    low v reaches, and those arcs are uncapacitated.  Bit j stands for ups[j].
     """
-    up_index = {w: j for j, w in enumerate(ups)}
+    bit = {w: 1 << j for j, w in enumerate(ups)}
     st = _Flow([dx] * len(lows), [dy] * len(ups))
-    st.push_blocking_flows([sorted(up_index[w] for w in adj[v]) for v in lows])
+    st.push_blocking_flows([sum({bit[w] for w in adj[v]}) for v in lows])
     return dx * len(lows) - st.remaining
 
 

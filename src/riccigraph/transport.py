@@ -3,10 +3,11 @@
 Two independent routes compute the same number.  The primal route scales both
 uniform measures by L = lcm(d_x, d_y) and solves an integral min-cost
 transportation problem (total unimodularity makes the integer optimum the LP
-optimum), reduced to the mass that has to move.  The dual route exhaustively
-maximizes sum f d(m_x - m_y) over integer-valued 1-Lipschitz functions
-anchored at f(x) = 0; it is the exponential reference that ricci_lp checks
-the primal value against on small cores.  The primal value needs no separate
+optimum), reduced to the mass that has to move, by shortest paths from a
+column-reduced dual and blocking flows over bitmasks.  The dual route
+exhaustively maximizes sum f d(m_x - m_y) over integer-valued 1-Lipschitz
+functions anchored at f(x) = 0; it is the exponential reference that ricci_lp
+checks the primal value against on small cores.  The primal value needs no separate
 plan as its certificate: the solver checks its integer flow against integer
 potentials (complementary slackness and equal dual objective) before
 returning.
@@ -46,20 +47,22 @@ def solve_transportation(
 ) -> tuple[int, list[list[int]]]:
     """Exact integral min-cost transportation.
 
-    cost is an R x C matrix of nonnegative integers (nested lists or an
+    cost is an R x C matrix of integers of any sign (nested lists or an
     ndarray), supply and demand are integer vectors with equal totals.
-    Successive shortest paths with node potentials.  Reduced costs are
-    nonnegative integers, so each Dijkstra pass runs over Dial's bucket queue:
-    nodes are settled one integer distance level at a time.  After each pass
-    blocking flows are pushed through the zero-reduced-cost subnetwork, whose
-    arcs are listed once per pass because the potentials only change between
-    passes; the number of passes is bounded by the largest path cost rather
-    than the flow value.  The final potentials are an integer dual certificate
-    and are checked against the primal cost before returning.
+    Successive shortest paths with node potentials, started from column
+    reduction (Jonker & Volgenant 1987): rows at 0 and each column at its
+    cheapest cost are a feasible dual, so reduced costs are nonnegative
+    integers from the start.  Blocking flows are pushed through the
+    zero-reduced-cost subnetwork, first at that start, then after each
+    Dijkstra pass over Dial's bucket queue, which settles nodes one integer
+    distance level at a time; the number of passes is bounded by the largest
+    path cost rather than the flow value.  The final potentials are an
+    integer dual certificate and are checked against the primal cost before
+    returning.
 
     Two passes share the blocking-flow walk and return the same flow.  An
     instance of at least _DENSE_CELLS cells whose costs keep every potential
-    within int64 takes the array pass, which settles each Dial level, lists
+    within int64 takes the array pass, which settles each Dial level, masks
     the admissible arcs and checks the certificate with numpy; smaller
     instances take the list pass, where numpy's per-call cost would dominate.
     """
@@ -112,46 +115,51 @@ class _Flow:
                 flow[i][j] = f
         return flow
 
-    def push_blocking_flows(self, adm: list[list[int]]) -> None:
+    def push_blocking_flows(self, adm: list[int]) -> None:
         """Augment along admissible paths until none reaches a column with demand.
 
-        adm[i] lists, ascending, the columns j that row i may send to,
-        without capacity: in the solve those with zero reduced cost, and in
-        the closed forms' minimum cut (curvature._max_flow) every low -> up
-        pair.  A reverse arc j -> i carries positive flow.  In the solve an
-        arc with flow has zero reduced cost (it and its reverse are both
-        nonnegative), so every reverse arc is admissible; the certificate
-        checks this.
+        adm[i] is the mask of the columns that row i may send to (bit j
+        stands for column j), without capacity: in the solve those with
+        zero reduced cost, and in the closed forms' minimum cut
+        (curvature._max_flow) every low -> up pair.  A reverse arc j -> i
+        carries positive flow.  In the solve an arc with flow has zero
+        reduced cost (it and its reverse are both nonnegative), so every
+        reverse arc is admissible; the certificate checks this.
+
+        Each phase levels the residual network breadth first, then walks
+        augmenting paths depth first.  cols[L] masks the live columns at
+        level L, and a node's level is its position on the path, so a row
+        takes the lowest bit of its mask and the next level's columns; a
+        dead-end column leaves that level's mask.
         """
         nr, nc = self.nr, self.nc
         rem_s, rem_d, back = self.rem_s, self.rem_d, self.back
         while self.remaining > 0:
-            level = [-1] * (nr + nc)
-            queue = []
-            for i in range(nr):
-                if rem_s[i] > 0:
-                    level[i] = 0
-                    queue.append(i)
-            qi = 0
+            level = [0 if s > 0 else -1 for s in rem_s]
+            rows = [i for i, s in enumerate(rem_s) if s > 0]
+            cols = [0]
+            reached = 0
             sink_seen = False
-            while qi < len(queue):
-                node = queue[qi]
-                qi += 1
-                if node < nr:
-                    for j in adm[node]:
-                        if level[nr + j] < 0:
-                            level[nr + j] = level[node] + 1
-                            queue.append(nr + j)
-                            if rem_d[j] > 0:
-                                sink_seen = True
-                else:
-                    for i in back[node - nr]:
+            while rows:
+                fresh = 0
+                for i in rows:
+                    fresh |= adm[i]
+                fresh &= ~reached
+                reached |= fresh
+                cols += (fresh, 0)
+                rows = []
+                while fresh:  # decode only the columns reached at this level
+                    low = fresh & -fresh
+                    fresh ^= low
+                    j = low.bit_length() - 1
+                    if rem_d[j] > 0:
+                        sink_seen = True
+                    for i in back[j]:
                         if level[i] < 0:
-                            level[i] = level[node] + 1
-                            queue.append(i)
+                            level[i] = len(cols) - 1
+                            rows.append(i)
             if not sink_seen:
                 return
-            ptr_row = [0] * nr
             ptr_col = [0] * nc
             back_snapshot = [list(back[j]) for j in range(nc)]
             for i in range(nr):
@@ -160,14 +168,11 @@ class _Flow:
                 path = [i]
                 while path and rem_s[i] > 0:
                     node = path[-1]
+                    depth = len(path)  # the level one past node
                     if node < nr:
-                        arcs = adm[node]
-                        k = ptr_row[node]
-                        while k < len(arcs) and level[nr + arcs[k]] != level[node] + 1:
-                            k += 1
-                        ptr_row[node] = k
-                        if k < len(arcs):
-                            path.append(nr + arcs[k])
+                        hit = adm[node] & cols[depth]
+                        if hit:
+                            path.append(nr + (hit & -hit).bit_length() - 1)
                             continue
                     else:
                         j = node - nr
@@ -193,22 +198,22 @@ class _Flow:
                         k = ptr_col[j]
                         while k < len(snap):
                             r = snap[k]
-                            if level[r] == level[node] + 1 and r in back[j]:
+                            if level[r] == depth and r in back[j]:
                                 break
                             k += 1
                         ptr_col[j] = k
                         if k < len(snap):
                             path.append(snap[k])
                             continue
-                    # Dead end: retreat, skip the arc that led here, and drop
-                    # the node from the level graph, since its pointer stays
-                    # exhausted for the rest of the phase.
-                    level[path.pop()] = -1
+                    # Dead end: retreat and drop the node from the level
+                    # graph; a column's pointer skips the row it led to.
+                    node = path.pop()
+                    if node >= nr:
+                        cols[depth - 1] ^= 1 << (node - nr)
+                        continue
+                    level[node] = -1
                     if path:
-                        if path[-1] < nr:
-                            ptr_row[path[-1]] += 1
-                        else:
-                            ptr_col[path[-1] - nr] += 1
+                        ptr_col[path[-1] - nr] += 1
 
 
 def _list_pass(
@@ -218,10 +223,22 @@ def _list_pass(
     nr, nc = len(supply), len(demand)
     st = _Flow(supply, demand)
     rem_s, rem_d, back = st.rem_s, st.rem_d, st.back
-    pot = [0] * (nr + nc)
+    # Column reduction: zero row potentials and each column at its cheapest
+    # cost are a feasible dual whatever the costs' signs.
+    pot = [0] * nr + (list(map(min, zip(*cost))) or [0] * nc)
+    bits = [1 << j for j in range(nc)]
     unreached = float("inf")
 
-    while st.remaining > 0:
+    while True:
+        col_pot = pot[nr:]
+        st.push_blocking_flows(
+            [
+                sum(b for b, c, p in zip(bits, ci, col_pot) if c + pi == p)
+                for ci, pi in zip(cost, pot)
+            ]
+        )
+        if not st.remaining:
+            break
         # Dijkstra from all rows with remaining supply over Dial's buckets:
         # buckets[d] lists the nodes reached at distance d, and a node is
         # settled the first time it is taken from a bucket.
@@ -232,7 +249,6 @@ def _list_pass(
             if rem_s[i] > 0:
                 dist[i] = 0
                 buckets[0].append(i)
-        col_pot = pot[nr:]
         target = -1
         dstar = 0
         while buckets and target < 0:
@@ -268,18 +284,10 @@ def _list_pass(
         for node in range(nr + nc):
             dn = dist[node]
             pot[node] += dn if dn <= dstar else dstar
-        col_pot = pot[nr:]
-        st.push_blocking_flows(
-            [
-                [j for j, c, p in zip(range(nc), ci, col_pot) if c + pi == p]
-                for ci, pi in zip(cost, pot)
-            ]
-        )
 
     # Certify optimality: potentials form a feasible dual with matching objective.
     flow = st.matrix()
     total = 0
-    col_pot = pot[nr:]
     for ci, fi, pi in zip(cost, flow, pot):
         for c, f, p in zip(ci, fi, col_pot):
             rc = c + pi - p
@@ -297,20 +305,27 @@ def _array_pass(
     nr, nc = cost.shape
     st = _Flow(supply, demand)
     pot_r = np.zeros(nr, dtype=np.int64)
-    pot_c = np.zeros(nc, dtype=np.int64)
-    while st.remaining > 0:
+    pot_c = cost.min(axis=0)  # the column reduction, as in the list pass
+    while True:
+        # Bit j of a row's mask is column j: pack each row little-endian.
+        packed = np.packbits(cost + pot_r[:, None] == pot_c, axis=1, bitorder="little")
+        raw, width = packed.tobytes(), packed.shape[1]
+        st.push_blocking_flows(
+            [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+        )
+        if not st.remaining:
+            break
         dist_r, dist_c, dstar = _dial_levels(cost, pot_r, pot_c, st)
         pot_r += np.minimum(dist_r, dstar)
         pot_c += np.minimum(dist_c, dstar)
-        # np.nonzero walks the mask row by row, so each row's columns ascend.
-        rows, cols = np.nonzero(cost + pot_r[:, None] == pot_c)
-        cuts = np.searchsorted(rows, np.arange(nr + 1)).tolist()
-        cols = cols.tolist()
-        st.push_blocking_flows([cols[a:b] for a, b in zip(cuts, cuts[1:])])
 
     # Certify optimality: potentials form a feasible dual with matching objective.
-    flow = st.matrix()
-    arr = np.array(flow, dtype=np.int64)
+    arr = np.zeros((nr, nc), dtype=np.int64)
+    arr[
+        [i for rows in st.back for i in rows],
+        [j for j, rows in enumerate(st.back) for _ in rows],
+    ] = [f for rows in st.back for f in rows.values()]
+    flow = arr.tolist()
     rc = cost + pot_r[:, None] - pot_c
     used = arr > 0
     if (rc < 0).any() or rc[used].any():

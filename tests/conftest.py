@@ -304,6 +304,104 @@ def max_matching_reference(inst):
     return tuple(sorted((a, b) for b, a in match_r.items()))
 
 
+def push_blocking_flows_reference(st, adm):
+    """The blocking-flow walk over ascending column lists, applied to the _Flow st.
+
+    The reference for transport._Flow.push_blocking_flows, which takes one
+    column mask per row and must leave the same flow: adm[i] lists, ascending,
+    the columns row i may send to.  Each phase levels the residual network
+    breadth first; the depth-first walk keeps a pointer per row into its arc
+    list and per column into a snapshot of its reverse arcs, and a dead end
+    advances its parent's pointer and drops the node from the level graph.
+    """
+    nr, nc = st.nr, st.nc
+    rem_s, rem_d, back = st.rem_s, st.rem_d, st.back
+    while st.remaining > 0:
+        level = [-1] * (nr + nc)
+        queue = []
+        for i in range(nr):
+            if rem_s[i] > 0:
+                level[i] = 0
+                queue.append(i)
+        qi = 0
+        sink_seen = False
+        while qi < len(queue):
+            node = queue[qi]
+            qi += 1
+            if node < nr:
+                for j in adm[node]:
+                    if level[nr + j] < 0:
+                        level[nr + j] = level[node] + 1
+                        queue.append(nr + j)
+                        if rem_d[j] > 0:
+                            sink_seen = True
+            else:
+                for i in back[node - nr]:
+                    if level[i] < 0:
+                        level[i] = level[node] + 1
+                        queue.append(i)
+        if not sink_seen:
+            return
+        ptr_row = [0] * nr
+        ptr_col = [0] * nc
+        back_snapshot = [list(back[j]) for j in range(nc)]
+        for i in range(nr):
+            # Walk augmenting paths from row i with an explicit node list
+            # (row, column, row, ..., column), never by recursion.
+            path = [i]
+            while path and rem_s[i] > 0:
+                node = path[-1]
+                if node < nr:
+                    arcs = adm[node]
+                    k = ptr_row[node]
+                    while k < len(arcs) and level[nr + arcs[k]] != level[node] + 1:
+                        k += 1
+                    ptr_row[node] = k
+                    if k < len(arcs):
+                        path.append(nr + arcs[k])
+                        continue
+                else:
+                    j = node - nr
+                    if rem_d[j] > 0:
+                        got = min(rem_s[i], rem_d[j])
+                        for t in range(2, len(path), 2):
+                            got = min(got, back[path[t - 1] - nr][path[t]])
+                        rem_d[j] -= got
+                        rem_s[i] -= got
+                        st.remaining -= got
+                        for t in range(1, len(path), 2):  # row -> column
+                            r, c = path[t - 1], path[t] - nr
+                            back[c][r] = back[c].get(r, 0) + got
+                        for t in range(2, len(path), 2):  # column -> row
+                            r, c = path[t], path[t - 1] - nr
+                            if back[c][r] == got:
+                                del back[c][r]
+                            else:
+                                back[c][r] -= got
+                        path = [i]
+                        continue
+                    snap = back_snapshot[j]
+                    k = ptr_col[j]
+                    while k < len(snap):
+                        r = snap[k]
+                        if level[r] == level[node] + 1 and r in back[j]:
+                            break
+                        k += 1
+                    ptr_col[j] = k
+                    if k < len(snap):
+                        path.append(snap[k])
+                        continue
+                # Dead end: retreat, skip the arc that led here, and drop
+                # the node from the level graph, since its pointer stays
+                # exhausted for the rest of the phase.
+                level[path.pop()] = -1
+                if path:
+                    if path[-1] < nr:
+                        ptr_row[path[-1]] += 1
+                    else:
+                        ptr_col[path[-1] - nr] += 1
+
+
 def subset_gain_bruteforce(lows, ups, adj, dx, dy):
     """max over T subseteq lows of |T|/d_y - |N(T)|/d_x, by full subset scan.
 

@@ -51,6 +51,24 @@ def test_instance_validation():
         MatchingInstance(left=(0, 1), right=(5, 5), adjacency=((0, 5), (1, 5)))
 
 
+def test_instance_rejects_a_repeated_id():
+    with pytest.raises(GraphInputError, match="^a vertex id repeats within one side$"):
+        MatchingInstance(left=(3, 4, 3), right=(7,), adjacency=((3, 7),))
+
+
+def test_instance_rejects_overlapping_sides():
+    with pytest.raises(GraphInputError, match="^left and right sides overlap$"):
+        MatchingInstance(left=(1, 2), right=(2, 9), adjacency=((1, 9),))
+
+
+def test_instance_names_the_first_pair_outside_left_x_right():
+    # (5, 8) has its left outside, (2, 1) its right; the message names the first
+    with pytest.raises(GraphInputError, match=r"^pair \(5, 8\) is not in left x right$"):
+        MatchingInstance(left=(1, 2), right=(8, 9), adjacency=((1, 9), (5, 8), (2, 1)))
+    with pytest.raises(GraphInputError, match=r"^pair \(2, 1\) is not in left x right$"):
+        MatchingInstance(left=(1, 2), right=(8, 9), adjacency=((1, 9), (2, 1), (5, 8)))
+
+
 def test_max_matching_complete():
     inst = MatchingInstance(
         left=(0, 1, 2),

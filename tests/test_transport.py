@@ -1,10 +1,18 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import riccigraph
 from riccigraph import (
     Graph,
     core_neighborhood,
@@ -16,7 +24,7 @@ from riccigraph import (
 from riccigraph.graph import _DENSE_CELLS
 from riccigraph.randgraph import canonical_regime_params, replicate_seed, sample_gnp
 from riccigraph.errors import OracleCapExceededError
-from conftest import check_certificates, random_girth5_graphs
+from conftest import check_certificates, push_blocking_flows_reference, random_girth5_graphs
 
 
 def brute_min_cost(cost, supply, demand):
@@ -181,6 +189,33 @@ def _pass_corpus():
             [scale // core.d_x] * core.d_x,
             [scale // core.d_y] * core.d_y,
         )
+    yield from _warm_start_corpus()
+
+
+def _warm_start_corpus():
+    """Dense instances whose columns' cheapest costs differ: 0, 2, 3 and -2.
+
+    The column-reduced start then admits each column's own cheapest cells,
+    where a first Dijkstra from zero potentials would admit only the cells
+    at the smallest of those minima.
+    """
+    rng = random.Random(1515)
+    for k in range(6):
+        nr, nc = rng.randint(50, 70), rng.randint(50, 70)
+        floors = [(0, 2, 3, -2)[j % 4] for j in range(nc)]
+        cost = [[f + rng.randint(1, 4) for f in floors] for _ in range(nr)]
+        for j, f in enumerate(floors):
+            for _ in range(rng.randint(1, 3)):
+                cost[rng.randrange(nr)][j] = f
+        if k % 2:
+            scale = lcm(nr, nc)
+            supply, demand = [scale // nr] * nr, [scale // nc] * nc
+        else:
+            supply = [rng.randint(0, 9) for _ in range(nr)]
+            total = sum(supply)
+            cuts = sorted(rng.randint(0, total) for _ in range(nc - 1))
+            demand = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        yield cost, supply, demand
 
 
 def test_list_and_array_passes_agree():
@@ -191,6 +226,94 @@ def test_list_and_array_passes_agree():
         got = transport._array_pass(np.array(cost, dtype=np.int64), supply, demand)
         assert got == transport._list_pass(cost, supply, demand)
         assert solve_transportation(cost, supply, demand) == got
+
+
+def test_warm_start_instances_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for cost, supply, demand in _warm_start_corpus():
+        nr, nc = len(supply), len(demand)
+        assert nr * nc >= _DENSE_CELLS
+        assert {min(col) for col in zip(*cost)} == {0, 2, 3, -2}
+        total, _ = solve_transportation(cost, supply, demand)
+        res = linprog(
+            np.array(cost, dtype=float).ravel(),
+            A_eq=np.vstack([np.kron(np.eye(nr), np.ones((1, nc))),
+                            np.kron(np.ones((1, nr)), np.eye(nc))]),
+            b_eq=supply + demand,
+            bounds=(0, None),
+            method="highs",
+        )
+        assert res.status == 0, res.message
+        assert abs(res.fun - total) < 1e-6
+
+
+# Each case is solved in a child process under a timeout, so that a solver
+# that stops terminating fails the test instead of hanging the suite.
+_SOLVE_IN_CHILD = """
+import json, sys
+from riccigraph import solve_transportation
+print(json.dumps([solve_transportation(*case) for case in json.load(sys.stdin)]))
+"""
+
+
+def test_transportation_negative_costs_terminate():
+    rng = random.Random(1503)
+    cases = [([[-1]], [1], [1]), ([[-1, 2], [3, -2]], [1, 1], [1, 1])]
+    for _ in range(60):
+        nr, nc = rng.randint(1, 3), rng.randint(1, 3)
+        cost = [[rng.randint(-3, 6) for _ in range(nc)] for _ in range(nr)]
+        supply = [rng.randint(0, 4) for _ in range(nr)]
+        total = sum(supply)
+        cuts = sorted(rng.randint(0, total) for _ in range(nc - 1))
+        cases.append((cost, supply, [b - a for a, b in zip([0] + cuts, cuts + [total])]))
+    assert any(c < 0 for cost, _, _ in cases[2:] for row in cost for c in row)
+    env = dict(os.environ, PYTHONPATH=str(Path(riccigraph.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SOLVE_IN_CHILD],
+        input=json.dumps(cases),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    answers = json.loads(proc.stdout)
+    assert [total for total, _ in answers[:2]] == [-1, -3]
+    for (cost, supply, demand), (total, flow) in zip(cases, answers):
+        # brute_min_cost prunes on partial sums, which needs costs >= 0; a
+        # shift by 3 adds 3 per unit shipped to every feasible flow.
+        lifted = [[c + 3 for c in row] for row in cost]
+        assert total == brute_min_cost(lifted, supply, demand) - 3 * sum(supply)
+        assert [sum(row) for row in flow] == supply
+        assert [sum(col) for col in zip(*flow)] == demand
+        assert all(f >= 0 for row in flow for f in row)
+        assert total == sum(f * c for fr, cr in zip(flow, cost) for f, c in zip(fr, cr))
+
+
+@st.composite
+def walk_instances(draw):
+    """A flow's supplies and demands with two admissible sets, as column masks."""
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    supply = draw(st.lists(st.integers(0, 4), min_size=nr, max_size=nr))
+    demand = draw(st.lists(st.integers(0, 4), min_size=nc, max_size=nc))
+    masks = st.lists(st.integers(0, (1 << nc) - 1), min_size=nr, max_size=nr)
+    return supply, demand, draw(masks), draw(masks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(walk_instances())
+def test_blocking_flow_walk_equals_reference(case):
+    # The second call starts from the first call's flow, so its levels run
+    # through reverse arcs as well.
+    supply, demand, *adms = case
+    got, want = transport._Flow(supply, demand), transport._Flow(supply, demand)
+    for adm in adms:
+        got.push_blocking_flows(adm)
+        push_blocking_flows_reference(
+            want, [[j for j in range(len(demand)) if m >> j & 1] for m in adm]
+        )
+        assert [list(b.items()) for b in got.back] == [list(b.items()) for b in want.back]
+        assert (got.rem_s, got.rem_d, got.remaining) == (want.rem_s, want.rem_d, want.remaining)
 
 
 def test_costs_near_int64_take_list_pass(monkeypatch):
