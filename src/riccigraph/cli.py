@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
+from operator import attrgetter
 from typing import TextIO
 
 from . import __version__
@@ -35,6 +36,7 @@ from .randgraph import (
     canonical_regime_params,
     run_experiment,
 )
+from .rationals import format_rational
 from .ricciflat import flatness_with_classification
 from .transport import DEFAULT_ORACLE_CAP
 from .graph import core_neighborhood
@@ -94,14 +96,6 @@ def _emit_json(command: str, digest: str, results, started: float) -> None:
     sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
 
 
-def _bounds_csv_cell(bounds_dict: dict) -> str:
-    parts = []
-    for source in sorted(bounds_dict):
-        entry = bounds_dict[source]
-        parts.append(f"{source}={entry['lower']}..{entry['upper']}")
-    return ";".join(parts)
-
-
 def cmd_curvature(args) -> int:
     started = time.monotonic()
     cap = _oracle_cap()
@@ -111,20 +105,25 @@ def cmd_curvature(args) -> int:
     else:
         u, v = args.edge
         edges = [(u, v)]
-    payload = []
+    # CSV keeps one finished line per edge, not the edge's dict; everything is
+    # written at the end, so a failing edge (exit 4 or 5) prints nothing.
+    csv = args.format == "csv"
+    payload = ["u,v,kappa,kappa_float,method,bounds"] if csv else []
     for u, v in edges:
         core = core_neighborhood(g, u, v)
         result = curvature_of_core(core, method=args.method, verify=args.verify, cap=cap)
-        payload.append(result_to_dict(result, curvature_bounds(g, u, v, core=core)))
-    if args.format == "csv":
-        lines = ["u,v,kappa,kappa_float,method,bounds"]
-        for entry in payload:
-            u, v = entry["edge"]
-            lines.append(
-                f"{u},{v},{entry['kappa']},{entry['kappa_float']},"
-                f"{entry['method']},{_bounds_csv_cell(entry['bounds'])}"
+        bounds = curvature_bounds(g, u, v, core=core)
+        if csv:
+            row = result_to_dict(result)
+            cell = ";".join(
+                f"{bp.source}={format_rational(bp.lower)}..{format_rational(bp.upper)}"
+                for bp in sorted(bounds, key=attrgetter("source"))
             )
-        sys.stdout.write("\n".join(lines) + "\n")
+            payload.append(f"{u},{v},{row['kappa']},{row['kappa_float']},{row['method']},{cell}")
+        else:
+            payload.append(result_to_dict(result, bounds))
+    if csv:
+        sys.stdout.write("\n".join(payload) + "\n")
     else:
         _emit_json("curvature", digest, payload, started)
     return 0

@@ -231,6 +231,30 @@ def test_criterion_7_random_graph_regimes():
     print(f"criterion 7: c={c} d={d} e={e}, {elapsed:.1f}s")
 
 
+def test_regime_limits_convergence_ladder():
+    # Criterion 7 reads regime (f) at one n and the bipartite model in regime
+    # (b) only.  Here the distance to the paper's limit must shrink with n.
+    # Seed 555 read |median - 1/2| = .030, .020, .010 for G(n, 1/2) and
+    # medians -1.381, -1.528, -1.581 for G(n, n, n^-0.75); about 4 s in all.
+    def ladder(model, sizes, p_of, replicates, regime, limit):
+        meds = []
+        for n in sizes:
+            rep = run_experiment(
+                ExperimentConfig(model=model, n=n, p=p_of(n), replicates=replicates,
+                                 seed=555, regime=regime)
+            )
+            assert rep.skipped == 0
+            assert rep.limit.value == limit
+            meds.append(rep.empirical_median)
+        return meds
+
+    f = ladder("gnp", (200, 400, 800), lambda n: 0.5, 20, "f", Fraction(1, 2))
+    gaps = [abs(m - Fraction(1, 2)) for m in f]
+    assert gaps[0] > gaps[1] > gaps[2], gaps
+    c = ladder("bipartite", (2000, 4000, 8000), lambda n: n**-0.75, 60, "c", Fraction(-2))
+    assert c[0] > c[1] > c[2] > Fraction(-2), c
+
+
 def test_criterion_8_determinism(tmp_path):
     path = tmp_path / "petersen.txt"
     path.write_text(write_edge_list(generate_family("petersen", [])))

@@ -1,6 +1,10 @@
 """Property tests on small random graphs: the routes agree and kappa is a graph invariant."""
 
+import contextlib
+import io
+import os
 import random
+import tempfile
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -11,13 +15,17 @@ from riccigraph import (
     NeighborPartition,
     core_neighborhood,
     curvature_bounds,
+    generate_family,
     neighbor_partition,
     parse_edge_list,
+    result_to_dict,
+    ricci_auto,
     ricci_formula,
     ricci_lp,
     w1_dual_oracle,
     write_edge_list,
 )
+from riccigraph import cli
 from riccigraph.transport import _distance_matrix
 from conftest import bfs_distance_capped, local_distance_bfs
 
@@ -211,3 +219,55 @@ def test_bounds_sandwich_lp(g):
         kappa = ricci_lp(g, u, v).kappa
         for bp in curvature_bounds(g, u, v):
             assert bp.lower <= kappa <= bp.upper, (u, v, bp.source)
+
+
+def _bounds_csv_cell(bounds_dict):
+    """The CSV bounds cell rebuilt from the JSON bounds dict, sources in sorted order."""
+    parts = []
+    for source in sorted(bounds_dict):
+        entry = bounds_dict[source]
+        parts.append(f"{source}={entry['lower']}..{entry['upper']}")
+    return ";".join(parts)
+
+
+def _csv_reference(g, edges):
+    """`curvature --format csv` as rebuilt from result_to_dict(result, bounds)."""
+    lines = ["u,v,kappa,kappa_float,method,bounds"]
+    for u, v in edges:
+        entry = result_to_dict(ricci_auto(g, u, v), curvature_bounds(g, u, v))
+        lines.append(
+            f"{u},{v},{entry['kappa']},{entry['kappa_float']},"
+            f"{entry['method']},{_bounds_csv_cell(entry['bounds'])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _cli_csv(g, *argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(write_edge_list(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["curvature", "--graph", path, *argv, "--format", "csv"]) == 0
+    return out.getvalue()
+
+
+# The examples pin one graph per method: every Petersen edge is girth5, every
+# K_{2,3} edge bipartite, every path edge tree_girth6 and every K_4 edge lp.
+@PROPERTY
+@given(st.one_of(graphs(), formula_graphs()), st.integers(min_value=0), st.booleans())
+@example(generate_family("petersen", []), 4, False)
+@example(generate_family("complete_bipartite", [2, 3]), 1, True)
+@example(Graph(4, [(0, 1), (1, 2), (2, 3)]), 1, False)
+@example(generate_family("complete", [4]), 2, True)
+def test_curvature_csv_rows_match_result_dicts(g, pick, flip):
+    # The CLI sees the graph its edge list parses to, isolated vertices dropped.
+    g = parse_edge_list(write_edge_list(g))
+    edges = list(g.edges())
+    assert _cli_csv(g, "--all") == _csv_reference(g, edges)
+    if edges:
+        u, v = edges[pick % len(edges)]
+        if flip:
+            u, v = v, u
+        assert _cli_csv(g, "--edge", str(u), str(v)) == _csv_reference(g, [(u, v)])

@@ -28,7 +28,15 @@ from conftest import check_certificates, push_blocking_flows_reference, random_g
 
 
 def brute_min_cost(cost, supply, demand):
-    """Reference solver: recursion over cells, feasible integral flows only."""
+    """Reference solver: recursion over cells, feasible integral flows only.
+
+    The search prunes a branch once its partial sum reaches the best total,
+    which holds only for costs >= 0.  So it runs on the costs less their least
+    one: every feasible flow ships sum(supply) units, which moves every total
+    by the same least * sum(supply).
+    """
+    least = min((c for row in cost for c in row), default=0)
+    cost = [[c - least for c in row] for row in cost]
     nr, nc = len(supply), len(demand)
     best = [None]
 
@@ -56,7 +64,7 @@ def brute_min_cost(cost, supply, demand):
         split(0, rem_s[i], 0)
 
     go(0, list(supply), list(demand), 0)
-    return best[0]
+    return None if best[0] is None else best[0] + least * sum(supply)
 
 
 def test_transportation_small_known():
@@ -258,7 +266,12 @@ print(json.dumps([solve_transportation(*case) for case in json.load(sys.stdin)])
 
 def test_transportation_negative_costs_terminate():
     rng = random.Random(1503)
-    cases = [([[-1]], [1], [1]), ([[-1, 2], [3, -2]], [1, 1], [1, 1])]
+    cases = [
+        ([[-1]], [1], [1]),
+        ([[-1, 2], [3, -2]], [1, 1], [1, 1]),
+        # pruning on partial sums of these unshifted costs finds -1
+        ([[0, 3, -1], [4, -1, 1], [5, -3, 0]], [2, 4, 1], [1, 2, 4]),
+    ]
     for _ in range(60):
         nr, nc = rng.randint(1, 3), rng.randint(1, 3)
         cost = [[rng.randint(-3, 6) for _ in range(nc)] for _ in range(nr)]
@@ -266,7 +279,7 @@ def test_transportation_negative_costs_terminate():
         total = sum(supply)
         cuts = sorted(rng.randint(0, total) for _ in range(nc - 1))
         cases.append((cost, supply, [b - a for a, b in zip([0] + cuts, cuts + [total])]))
-    assert any(c < 0 for cost, _, _ in cases[2:] for row in cost for c in row)
+    assert any(c < 0 for cost, _, _ in cases[3:] for row in cost for c in row)
     env = dict(os.environ, PYTHONPATH=str(Path(riccigraph.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _SOLVE_IN_CHILD],
@@ -278,12 +291,9 @@ def test_transportation_negative_costs_terminate():
     )
     assert proc.returncode == 0, proc.stderr
     answers = json.loads(proc.stdout)
-    assert [total for total, _ in answers[:2]] == [-1, -3]
+    assert [total for total, _ in answers[:3]] == [-1, -3, -2]
     for (cost, supply, demand), (total, flow) in zip(cases, answers):
-        # brute_min_cost prunes on partial sums, which needs costs >= 0; a
-        # shift by 3 adds 3 per unit shipped to every feasible flow.
-        lifted = [[c + 3 for c in row] for row in cost]
-        assert total == brute_min_cost(lifted, supply, demand) - 3 * sum(supply)
+        assert total == brute_min_cost(cost, supply, demand)
         assert [sum(row) for row in flow] == supply
         assert [sum(col) for col in zip(*flow)] == demand
         assert all(f >= 0 for row in flow for f in row)
