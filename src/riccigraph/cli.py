@@ -50,8 +50,8 @@ def _oracle_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise GraphInputError(f"RICCI_ORACLE_CAP must be an integer, got {raw!r}")
-    if cap < 2:
-        raise GraphInputError("RICCI_ORACLE_CAP must be at least 2")
+    if not 2 <= cap <= DEFAULT_ORACLE_CAP:
+        raise GraphInputError(f"RICCI_ORACLE_CAP must be from 2 to {DEFAULT_ORACLE_CAP}")
     return cap
 
 

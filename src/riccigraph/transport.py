@@ -4,7 +4,9 @@ Two independent routes compute the same number.  The primal route scales both
 uniform measures by L = lcm(d_x, d_y) and solves an integral min-cost
 transportation problem (total unimodularity makes the integer optimum the LP
 optimum), reduced to the mass that has to move, by shortest paths from a
-column-reduced dual and blocking flows over bitmasks.  The dual route
+column-reduced dual and blocking flows over bitmasks.  One Dijkstra over
+nested lists serves both the list and the array pass; numpy does only the
+array pass's row masks and certificate.  The dual route
 exhaustively maximizes sum f d(m_x - m_y) over integer-valued 1-Lipschitz
 functions anchored at f(x) = 0; it is the exponential reference that ricci_lp
 checks the primal value against on small cores.  The primal value needs no separate
@@ -31,7 +33,6 @@ DEFAULT_ORACLE_CAP = 18
 # The array pass works in int64; solve_transportation keeps every potential
 # and every flow-times-cost product below this.
 _INT64_SAFE = 2**60
-_UNREACHED = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,12 @@ def solve_transportation(
     integer dual certificate and are checked against the primal cost before
     returning.
 
-    Two passes share the blocking-flow walk and return the same flow.  An
-    instance of at least _DENSE_CELLS cells whose costs keep every potential
-    within int64 takes the array pass, which settles each Dial level, masks
-    the admissible arcs and checks the certificate with numpy; smaller
-    instances take the list pass, where numpy's per-call cost would dominate.
+    Two passes share the blocking-flow walk and the one Dijkstra over nested
+    lists, and return the same flow.  An instance of at least _DENSE_CELLS
+    cells whose costs keep every potential within int64 takes the array
+    pass, which masks the admissible arcs and checks the certificate with
+    numpy; smaller instances take the list pass, where numpy's per-call cost
+    would dominate.
     """
     nr, nc = len(supply), len(demand)
     if isinstance(cost, np.ndarray):
@@ -219,15 +221,13 @@ class _Flow:
 def _list_pass(
     cost: list[list[int]], supply: list[int], demand: list[int]
 ) -> tuple[int, list[list[int]]]:
-    """solve_transportation over nested lists: each settled row relaxes every column."""
+    """solve_transportation over nested lists: each row's mask is summed cell by cell."""
     nr, nc = len(supply), len(demand)
     st = _Flow(supply, demand)
-    rem_s, rem_d, back = st.rem_s, st.rem_d, st.back
     # Column reduction: zero row potentials and each column at its cheapest
     # cost are a feasible dual whatever the costs' signs.
     pot = [0] * nr + (list(map(min, zip(*cost))) or [0] * nc)
     bits = [1 << j for j in range(nc)]
-    unreached = float("inf")
 
     while True:
         col_pot = pot[nr:]
@@ -239,51 +239,7 @@ def _list_pass(
         )
         if not st.remaining:
             break
-        # Dijkstra from all rows with remaining supply over Dial's buckets:
-        # buckets[d] lists the nodes reached at distance d, and a node is
-        # settled the first time it is taken from a bucket.
-        dist = [unreached] * (nr + nc)
-        settled = [False] * (nr + nc)
-        buckets: dict[int, list[int]] = {0: []}
-        for i in range(nr):
-            if rem_s[i] > 0:
-                dist[i] = 0
-                buckets[0].append(i)
-        target = -1
-        dstar = 0
-        while buckets and target < 0:
-            d = min(buckets)
-            for node in buckets[d]:  # zero reduced-cost arcs append to this level
-                if settled[node]:
-                    continue
-                settled[node] = True
-                if node >= nr:
-                    j = node - nr
-                    if rem_d[j] > 0:
-                        target, dstar = j, d
-                        break
-                    pj = pot[node]
-                    for i in back[j]:
-                        nd = d + pj - cost[i][j] - pot[i]
-                        if nd < dist[i]:
-                            dist[i] = nd
-                            buckets.setdefault(nd, []).append(i)
-                else:
-                    # a settled column has distance <= d, so it never improves
-                    base = d + pot[node]
-                    for nj, c, p in zip(range(nr, nr + nc), cost[node], col_pot):
-                        nd = base + c - p
-                        if nd < dist[nj]:
-                            dist[nj] = nd
-                            buckets.setdefault(nd, []).append(nj)
-            del buckets[d]
-        if target < 0:
-            raise RuntimeError("transportation problem infeasible")
-        # A node not settled below dstar has true distance >= dstar, so the
-        # raise is min(true distance, dstar) whatever order ties settled in.
-        for node in range(nr + nc):
-            dn = dist[node]
-            pot[node] += dn if dn <= dstar else dstar
+        _raise_potentials(cost, pot, st)
 
     # Certify optimality: potentials form a feasible dual with matching objective.
     flow = st.matrix()
@@ -301,12 +257,14 @@ def _list_pass(
 def _array_pass(
     cost: np.ndarray, supply: list[int], demand: list[int]
 ) -> tuple[int, list[list[int]]]:
-    """solve_transportation over an int64 matrix: each Dial level is one vector step."""
+    """solve_transportation over an int64 matrix: numpy builds the masks and the certificate."""
     nr, nc = cost.shape
     st = _Flow(supply, demand)
-    pot_r = np.zeros(nr, dtype=np.int64)
-    pot_c = cost.min(axis=0)  # the column reduction, as in the list pass
+    pot = [0] * nr + cost.min(axis=0).tolist()  # the column reduction, as in the list pass
+    nested = None
     while True:
+        pot_r = np.array(pot[:nr], dtype=np.int64)
+        pot_c = np.array(pot[nr:], dtype=np.int64)
         # Bit j of a row's mask is column j: pack each row little-endian.
         packed = np.packbits(cost + pot_r[:, None] == pot_c, axis=1, bitorder="little")
         raw, width = packed.tobytes(), packed.shape[1]
@@ -315,9 +273,9 @@ def _array_pass(
         )
         if not st.remaining:
             break
-        dist_r, dist_c, dstar = _dial_levels(cost, pot_r, pot_c, st)
-        pot_r += np.minimum(dist_r, dstar)
-        pot_c += np.minimum(dist_c, dstar)
+        if nested is None:  # the Dijkstra reads single cells, faster from lists
+            nested = cost.tolist()
+        _raise_potentials(nested, pot, st)
 
     # Certify optimality: potentials form a feasible dual with matching objective.
     arr = np.zeros((nr, nc), dtype=np.int64)
@@ -331,53 +289,64 @@ def _array_pass(
     if (rc < 0).any() or rc[used].any():
         raise RuntimeError("transport solver lost complementary slackness")
     total = sum((arr[used] * cost[used]).tolist())
-    _check_dual(total, supply, demand, pot_r.tolist(), pot_c.tolist())
+    _check_dual(total, supply, demand, pot[:nr], pot[nr:])
     return total, flow
 
 
-def _dial_levels(
-    cost: np.ndarray, pot_r: np.ndarray, pot_c: np.ndarray, st: _Flow
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dijkstra over Dial's levels from the rows with remaining supply.
+def _raise_potentials(cost: list[list[int]], pot: list[int], st: _Flow) -> None:
+    """One Dijkstra pass over reduced costs; raises pot (rows, then columns) in place.
 
-    Returns the row and column distances and d*, the distance of the nearest
-    column with remaining demand; every distance below d* is exact.  All
-    nodes at level d are settled together: the columns take one min over
-    those rows' reduced costs, and reverse arcs stay sparse over back[j].
+    The pass starts from every row with remaining supply and runs over
+    Dial's buckets: buckets[d] lists the nodes reached at distance d, and a
+    node is settled the first time it is taken from a bucket.  It stops at
+    d*, the distance of the nearest column with remaining demand.  A settled
+    row relaxes every column, a settled column only its reverse arcs.
     """
-    nr, nc = cost.shape
-    dist_r = np.where(np.array(st.rem_s) > 0, 0, _UNREACHED)
-    dist_c = np.full(nc, _UNREACHED)
-    open_r = np.ones(nr, dtype=bool)
-    open_c = np.ones(nc, dtype=bool)
-    deficit = np.array(st.rem_d) > 0
-    while True:
-        d = min(
-            dist_r.min(where=open_r, initial=_UNREACHED),
-            dist_c.min(where=open_c, initial=_UNREACHED),
-        )
-        if d == _UNREACHED:
-            raise RuntimeError("transportation problem infeasible")
-        d = int(d)
-        rows = np.flatnonzero(open_r & (dist_r == d))
-        while True:  # zero reduced-cost arcs reach further nodes at this level
-            if rows.size:
-                open_r[rows] = False
-                reach = (cost[rows] + pot_r[rows, None]).min(axis=0) + (d - pot_c)
-                np.minimum(dist_c, reach, out=dist_c)
-            cols = np.flatnonzero(open_c & (dist_c == d))
-            if not cols.size:
-                break
-            open_c[cols] = False
-            if deficit[cols].any():
-                return dist_r, dist_c, d
-            arc_c = [j for j in cols.tolist() for _ in st.back[j]]
-            if arc_c:
-                arc_r = [i for j in cols.tolist() for i in st.back[j]]
-                np.minimum.at(
-                    dist_r, arc_r, d + pot_c[arc_c] - cost[arc_r, arc_c] - pot_r[arc_r]
-                )
-            rows = np.flatnonzero(open_r & (dist_r == d))
+    nr, nc = st.nr, st.nc
+    rem_d, back = st.rem_d, st.back
+    col_pot = pot[nr:]
+    dist = [float("inf")] * (nr + nc)
+    settled = [False] * (nr + nc)
+    buckets: dict[int, list[int]] = {0: []}
+    for i, s in enumerate(st.rem_s):
+        if s > 0:
+            dist[i] = 0
+            buckets[0].append(i)
+    target = -1
+    dstar = 0
+    while buckets and target < 0:
+        d = min(buckets)
+        for node in buckets[d]:  # zero reduced-cost arcs append to this level
+            if settled[node]:
+                continue
+            settled[node] = True
+            if node >= nr:
+                j = node - nr
+                if rem_d[j] > 0:
+                    target, dstar = j, d
+                    break
+                pj = pot[node]
+                for i in back[j]:
+                    nd = d + pj - cost[i][j] - pot[i]
+                    if nd < dist[i]:
+                        dist[i] = nd
+                        buckets.setdefault(nd, []).append(i)
+            else:
+                # a settled column has distance <= d, so it never improves
+                base = d + pot[node]
+                for nj, c, p in zip(range(nr, nr + nc), cost[node], col_pot):
+                    nd = base + c - p
+                    if nd < dist[nj]:
+                        dist[nj] = nd
+                        buckets.setdefault(nd, []).append(nj)
+        del buckets[d]
+    if target < 0:
+        raise RuntimeError("transportation problem infeasible")
+    # A node not settled below dstar has true distance >= dstar, so the
+    # raise is min(true distance, dstar) whatever order ties settled in.
+    for node in range(nr + nc):
+        dn = dist[node]
+        pot[node] += dn if dn <= dstar else dstar
 
 
 def _check_dual(

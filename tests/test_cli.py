@@ -452,11 +452,13 @@ def test_oracle_cap_env(tmp_path):
     assert proc.returncode == 0
     (entry,) = json.loads(proc.stdout)["results"]
     assert entry["kappa"] == "-1/3"
-    proc = run_cli(
-        "curvature", "--graph", str(path), "--edge", "0", "1",
-        env_extra={"RICCI_ORACLE_CAP": "abc"},
-    )
-    assert proc.returncode == 2
+    for raw in ("abc", "19"):  # the variable may only lower the cap
+        proc = run_cli(
+            "curvature", "--graph", str(path), "--edge", "0", "1",
+            env_extra={"RICCI_ORACLE_CAP": raw},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_code():

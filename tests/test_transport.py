@@ -173,7 +173,11 @@ def test_transportation_matches_highs():
 
 
 def _pass_corpus():
-    """Seeded instances of 50..200 per side, then two G(n, p) marked edges."""
+    """Seeded instances of 50..200 per side, then G(n, p) marked edges.
+
+    Regime e's marked edges mostly need a Dijkstra round after the first
+    blocking flow, so they reach the shared Dijkstra from the array pass.
+    """
     rng = random.Random(808)
     for k in range(40):
         nr, nc = rng.randint(50, 200), rng.randint(50, 200)
@@ -188,9 +192,10 @@ def _pass_corpus():
             cuts = sorted(rng.randint(0, total) for _ in range(nc - 1))
             demand = [b - a for a, b in zip([0] + cuts, cuts + [total])]
         yield cost, supply, demand
-    for regime in "ef":
+    marked = [("e", 7)] + [("e", replicate_seed(7, r)) for r in range(4)] + [("f", 7)]
+    for regime, seed in marked:
         n, p = canonical_regime_params("gnp", regime)
-        core = core_neighborhood(sample_gnp(n, p, 7, (0, 1)), 0, 1)
+        core = core_neighborhood(sample_gnp(n, p, seed, (0, 1)), 0, 1)
         scale = lcm(core.d_x, core.d_y)
         yield (
             core.transport_costs().tolist(),
@@ -226,14 +231,27 @@ def _warm_start_corpus():
         yield cost, supply, demand
 
 
-def test_list_and_array_passes_agree():
+def test_list_and_array_passes_agree(monkeypatch):
     # The two passes must return the same (total, flow), not only the same
     # total: the flow is the solver's certificate and part of its contract.
+    rounds = []
+    dijkstra = transport._raise_potentials
+
+    def counted(*args):
+        rounds.append(1)
+        return dijkstra(*args)
+
+    monkeypatch.setattr(transport, "_raise_potentials", counted)
+    array_dijkstra = 0
     for cost, supply, demand in _pass_corpus():
         assert len(cost) * len(cost[0]) >= _DENSE_CELLS
+        before = len(rounds)
         got = transport._array_pass(np.array(cost, dtype=np.int64), supply, demand)
+        array_dijkstra += len(rounds) > before
         assert got == transport._list_pass(cost, supply, demand)
         assert solve_transportation(cost, supply, demand) == got
+    # the array pass must reach the shared Dijkstra, not only its first flow
+    assert array_dijkstra
 
 
 def test_warm_start_instances_match_highs():
