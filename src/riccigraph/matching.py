@@ -3,12 +3,14 @@
 Curvature lower bounds come from matchings in the core: adjacent pairs
 (1-matchings) between Q(x) = N(x)\\Delta and Q(y) = N(y)\\Delta, and
 distance-<=2 pairs (2-matchings) between the endpoint-free sets R(x), R(y).
-Q keeps the opposite endpoint (y in Q(x), x in Q(y)); R drops both.  Both
-instances are read through `CoreNeighborhood.pairs` from the core's distance
-balls (ball_1 and ball_2) and solved by one bitmask augmenting-path matcher,
-`max_matching`.  The two bounds share one body, which differs only in the
-radius, the numerator term (2|M| against k + 2) and the source name; each
-bound value is one Fraction over integer numerators.
+Q keeps the opposite endpoint (y in Q(x), x in Q(y)); R drops both.  Each
+instance covers only the partition classes that can pair: N1(y) x N1(x)
+over `core.n1_arcs()`, with y and x added in closed form, and N1 | N2 on
+both sides through `CoreNeighborhood.pairs`.  One bitmask augmenting-path
+matcher, `max_matching`, solves it; an empty side runs none.  The two bounds
+share one body, which differs only in the radius, the numerator term (2|M|
+against k + 2) and the source name; each bound value is one Fraction over
+integer numerators, and the `saturated` note compares |M| with the full sides.
 """
 
 from __future__ import annotations
@@ -99,38 +101,37 @@ def max_matching(inst: MatchingInstance) -> MatchingResult:
     return MatchingResult(pairs=pairs, size=len(pairs))
 
 
-def _ball_instance(core: CoreNeighborhood, radius: int) -> MatchingInstance:
-    """Q(x) x Q(y) pairs at core distance 1 (radius 1), or R(x) x R(y) pairs
-    at core distance <= 2 (radius 2), read through `core.pairs`.
-
-    Q(x) = N(x) - Delta keeps y and Q(y) keeps x; R drops both.  Neither side
-    meets Delta or P, so no phi edge touches a pair, and a radius-1 pair is
-    exactly an edge of the graph.
-    """
-    skip = set(core.partition.delta)
-    if radius == 2:
-        skip |= {core.x, core.y}
-    left = tuple([v for v in core.rows if v not in skip])
-    right = tuple([v for v in core.cols if v not in skip])
-    near = core.pairs(left, right, radius)
+def _instance(left, right, near) -> MatchingInstance:
+    """The instance on left x right whose pairs are near[a] for each left a."""
     return MatchingInstance(left, right, tuple([(a, b) for a in left for b in near[a]]))
 
 
 def _ball_bound(
     g: Graph, x: int, y: int, core: CoreNeighborhood | None, radius: int, source: str
 ) -> BoundPair:
+    """The bound from a maximum matching of Q(x) x Q(y) (radius 1) or of
+    R(x) x R(y) (radius 2), built over the classes that can pair."""
     core = core or core_neighborhood(g, x, y)
-    t = len(core.partition.delta)
-    dmax = max(g.degree(x), g.degree(y))
-    inst = _ball_instance(core, radius)
-    m = max_matching(inst).size
-    saturated = m == min(len(inst.left), len(inst.right))
+    part = core.partition
+    t = len(part.delta)
+    dmin, dmax = sorted((g.degree(x), g.degree(y)))
+    if radius == 1:
+        left, right = part.n1_y, part.n1_x
+    else:
+        left, right = part.n1_x + part.n2_x, part.n1_y + part.n2_y
+    m = 0
+    if left and right:
+        near = core.n1_arcs() if radius == 1 else core.pairs(left, right, 2)
+        m = max_matching(_instance(left, right, near)).size
+    full = dmin - t - (radius - 1)  # the smaller side: |Q| = d - t, |R| = d - t - 1
+    if radius == 1:
+        m = min(full, m + 2)
     gain = 2 * m if radius == 1 else m + 2
     return BoundPair(
         lower=Fraction(3 * t + gain - 2 * dmax, dmax),
         upper=Fraction(t, dmax),
         source=source,
-        note="saturated" if saturated else None,
+        note="saturated" if m == full else None,
     )
 
 
@@ -138,7 +139,15 @@ def matching_lower_bound(
     g: Graph, x: int, y: int, *, core: CoreNeighborhood | None = None
 ) -> BoundPair:
     """Lower bound |Delta|/(dmax) - 2(1 - (|M| + |Delta|)/dmax) from a maximum
-    matching M of adjacent pairs between Q(x) and Q(y); Eq-style upper |Delta|/dmax."""
+    matching M of adjacent pairs between Q(x) and Q(y); Eq-style upper |Delta|/dmax.
+
+    Past y and x every pair lies in N1(x) x N1(y), so a maximum matching M'
+    over the n1_arcs gives |M| = min(|Q(x)|, |Q(y)|, |M'| + 2), since y is
+    adjacent to all of Q(y) and x to all of Q(x).  At most: M holds at most
+    one pair at y and one at x, the rest form a matching over the arcs.
+    Reached: M' extends by pairing y and x with unmatched vertices, or with
+    each other when one side has none left.
+    """
     return _ball_bound(g, x, y, core, 1, "matching")
 
 
@@ -149,7 +158,10 @@ def two_matching_lower_bound(
 
     The 2-matching pairs R(x) against R(y) at core distance <= 2, one bit of
     the core's ball_2 per pair, and reduces to an ordinary matching on that
-    auxiliary instance.
+    auxiliary instance.  Only N1 | N2 of each side can pair: the middle of a
+    distance-2 pair is neither x nor y (one end would be in Delta), so the
+    pair closes a 4- or 5-cycle through the edge.  The other R vertices stay
+    unmatched, and an empty side builds no balls.
     """
     return _ball_bound(g, x, y, core, 2, "two_matching")
 
@@ -168,5 +180,8 @@ def has_perfect_matching_between_neighborhoods(
         raise NotApplicableError(
             f"characterization needs d_x = d_y, got {dx} and {dy}"
         )
-    result = max_matching(_ball_instance(core, 1))
+    skip = set(core.partition.delta)
+    left = tuple([v for v in core.rows if v not in skip])
+    right = tuple([v for v in core.cols if v not in skip])
+    result = max_matching(_instance(left, right, core.pairs(left, right, 1)))
     return result.size == dx - len(core.partition.delta), result

@@ -61,7 +61,8 @@ def _bernoulli_indices(rng: np.random.Generator, count: int, p: float) -> np.nda
     pos = -1
     while True:
         est = max(16, int((count - pos) * p * 1.1) + 16)
-        gaps = rng.geometric(p, size=est).astype(np.int64)
+        # a gap past count ends the stream; capping it keeps cumsum from wrapping
+        gaps = np.minimum(rng.geometric(p, size=est), count + 1).astype(np.int64)
         positions = pos + np.cumsum(gaps)
         take = positions[positions < count]
         chunks.append(take)

@@ -11,9 +11,13 @@ from fractions import Fraction
 from math import lcm
 
 from riccigraph import (
+    BoundPair,
     Graph,
     GraphInputError,
+    MatchingInstance,
+    core_neighborhood,
     generate_family,
+    max_matching,
     solve_transportation,
 )
 from riccigraph.transport import _distance_matrix
@@ -247,6 +251,32 @@ def hall_deficiency_bruteforce(inst):
         if d > best:
             best = d
     return best
+
+
+def ball_bound_reference(g, x, y, radius):
+    """The matching (radius 1) or 2-matching (radius 2) bound from the full instance.
+
+    The reference for matching._ball_bound: max_matching over all of
+    Q(x) x Q(y) = (N(x) - Delta) x (N(y) - Delta) at core distance 1, or all
+    of R(x) x R(y), which also drop y and x, at core distance <= 2, with no
+    partition class left out and nothing added in closed form.
+    """
+    core = core_neighborhood(g, x, y)
+    t = len(core.partition.delta)
+    skip = set(core.partition.delta) | ({x, y} if radius == 2 else set())
+    left = tuple(v for v in core.rows if v not in skip)
+    right = tuple(v for v in core.cols if v not in skip)
+    near = core.pairs(left, right, radius)
+    inst = MatchingInstance(left, right, tuple((a, b) for a in left for b in near[a]))
+    m = max_matching(inst).size
+    dmax = max(g.degree(x), g.degree(y))
+    gain = 2 * m if radius == 1 else m + 2
+    return BoundPair(
+        lower=Fraction(3 * t + gain - 2 * dmax, dmax),
+        upper=Fraction(t, dmax),
+        source="matching" if radius == 1 else "two_matching",
+        note="saturated" if m == min(len(left), len(right)) else None,
+    )
 
 
 def max_matching_reference(inst):

@@ -1,9 +1,9 @@
 """Census of the paper's claims over every graph on 1 to 7 vertices.
 
-networkx supplies the graphs (its atlas: 1,252 graphs, 12,342 edges) and the
-girth reference; it shares no code with riccigraph.  Every core here has at
-most 7 vertices, so ricci_lp runs the dual oracle beside the primal solve on
-every edge.
+networkx supplies the graphs (its atlas: 1,252 graphs, 12,342 edges), the
+girth reference and the matching sizes behind both matching bounds; it shares
+no code with riccigraph.  Every core here has at most 7 vertices, so ricci_lp
+runs the dual oracle beside the primal solve on every edge.
 """
 
 import pytest
@@ -21,6 +21,32 @@ from riccigraph import (
 from riccigraph import curvature
 
 nx = pytest.importorskip("networkx")
+
+
+def _nx_matching_size(left, right, paired):
+    b = nx.Graph()
+    b.add_nodes_from(("l", a) for a in left)
+    b.add_nodes_from(("r", c) for c in right)
+    b.add_edges_from((("l", a), ("r", c)) for a in left for c in right if paired(a, c))
+    return len(nx.bipartite.hopcroft_karp_matching(b, top_nodes=[("l", a) for a in left])) // 2
+
+
+def _check_matching_sizes(atlas_graph, dist, g, x, y, bounds):
+    # |M| over Q(x) x Q(y) adjacency and over R(x) x R(y) at distance <= 2,
+    # against the m each bound's lower value and its saturated note imply
+    delta = set(g.neighbors(x)) & set(g.neighbors(y))
+    q_x = [v for v in g.neighbors(x) if v not in delta]
+    q_y = [v for v in g.neighbors(y) if v not in delta]
+    r_x, r_y = [v for v in q_x if v != y], [v for v in q_y if v != x]
+    t, dmax = len(delta), max(g.degree(x), g.degree(y))
+    by_source = {bp.source: bp for bp in bounds}
+    for source, left, right, radius in (("matching", q_x, q_y, 1), ("two_matching", r_x, r_y, 2)):
+        m = _nx_matching_size(left, right, lambda a, c: dist[a].get(c, 3) <= radius)
+        bp = by_source[source]
+        gain = bp.lower * dmax - 3 * t + 2 * dmax
+        assert (gain / 2 if radius == 1 else gain - 2) == m, (atlas_graph.graph, x, y, source)
+        saturated = m == min(len(left), len(right))
+        assert (bp.note == "saturated") == saturated, (atlas_graph.graph, x, y, source)
 
 
 def test_census_of_graphs_up_to_seven_vertices(monkeypatch):
@@ -41,6 +67,7 @@ def test_census_of_graphs_up_to_seven_vertices(monkeypatch):
         g = Graph(n, atlas_graph.edges())
         nx_girth = nx.girth(atlas_graph)
         assert girth(g) == (None if nx_girth == float("inf") else nx_girth), atlas_graph.graph
+        dist = dict(nx.all_pairs_shortest_path_length(atlas_graph, cutoff=2))
         kappas = []
         for x, y in g.edges():
             edges += 1
@@ -56,8 +83,10 @@ def test_census_of_graphs_up_to_seven_vertices(monkeypatch):
             else:
                 formula_edges += 1
                 assert closed.kappa == kappa, (atlas_graph.graph, x, y, closed.method)
-            for pair in curvature_bounds(g, x, y, core=core):
+            bounds = curvature_bounds(g, x, y, core=core)
+            for pair in bounds:
                 assert pair.lower <= kappa <= pair.upper, (atlas_graph.graph, x, y, pair)
+            _check_matching_sizes(atlas_graph, dist, g, x, y, bounds)
         report = flatness_with_classification(g)
         assert report.is_flat == all(k == 0 for k in kappas), atlas_graph.graph
         flat += report.is_flat and bool(kappas)

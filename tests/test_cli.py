@@ -419,6 +419,20 @@ def test_experiment_csv_stdout():
     assert proc.stdout.startswith("index,n,p,kappa")
 
 
+@pytest.mark.parametrize("p", ["1e-18", "1e-19", "1e-320"])
+def test_experiment_tiny_p_samples_only_the_marked_edge(p):
+    # geometric gaps near 2**63 must not wrap the cumulative sum into
+    # negative positions, and so into out-of-range edges
+    proc = run_cli(
+        "experiment", "--model", "gnp", "--n", "5", "--p", p,
+        "--replicates", "2", "--format", "csv",
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = proc.stdout.strip().split("\n")[1:]
+    assert [row.split(",")[5] for row in rows] == ["tree_girth6"] * 2
+
+
 def test_experiment_undetermined_regime_refused():
     proc = run_cli(
         "experiment", "--model", "gnp", "--n", "100", "--p", "0.05",

@@ -16,18 +16,20 @@ from riccigraph import (
     core_neighborhood,
     curvature_bounds,
     generate_family,
+    matching_lower_bound,
     neighbor_partition,
     parse_edge_list,
     result_to_dict,
     ricci_auto,
     ricci_formula,
     ricci_lp,
+    two_matching_lower_bound,
     w1_dual_oracle,
     write_edge_list,
 )
 from riccigraph import cli
 from riccigraph.transport import _distance_matrix
-from conftest import bfs_distance_capped, local_distance_bfs
+from conftest import ball_bound_reference, bfs_distance_capped, local_distance_bfs
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -219,6 +221,24 @@ def test_bounds_sandwich_lp(g):
         kappa = ricci_lp(g, u, v).kappa
         for bp in curvature_bounds(g, u, v):
             assert bp.lower <= kappa <= bp.upper, (u, v, bp.source)
+
+
+@PROPERTY
+@given(st.one_of(graphs(), formula_graphs()))
+@example(Graph(2, [(0, 1)]))  # K_2: Q(x) = {y}, R(x) empty
+@example(Graph(3, [(0, 1), (1, 2)]))  # a leaf edge, d_x = 1
+@example(generate_family("complete", [4]))  # delta is not empty
+@example(generate_family("cycle", [4]))  # |M'| + 2 = 3 exceeds both sides of 2
+def test_ball_bounds_match_the_full_instance(g):
+    # matching only the partition classes that can pair, plus y and x in
+    # closed form at radius 1, gives the bound the full instance gives
+    for u, v in g.edges():
+        for x, y in ((u, v), (v, u)):
+            core = core_neighborhood(g, x, y)
+            assert matching_lower_bound(g, x, y, core=core) == ball_bound_reference(g, x, y, 1)
+            assert two_matching_lower_bound(g, x, y, core=core) == ball_bound_reference(
+                g, x, y, 2
+            )
 
 
 def _bounds_csv_cell(bounds_dict):

@@ -1,5 +1,6 @@
-"""One core per edge, one scan of each global graph fact per graph, and one
-minimum cut per closed-form edge.
+"""One core per edge, one scan of each global graph fact per graph, one
+minimum cut per closed-form edge, and matchings only where the partition
+leaves both sides something to pair.
 
 The counters rebind every riccigraph name that refers to a counted function,
 the way bench/tracing.py records its spans, so calls made through a
@@ -24,7 +25,7 @@ from riccigraph import (
     ricci_auto,
     write_edge_list,
 )
-from riccigraph import curvature
+from riccigraph import curvature, matching
 from riccigraph import graph as graph_module
 from conftest import disjoint_union, dodecahedron
 
@@ -44,6 +45,14 @@ GRAPHS = {
 }
 
 
+def _rebind(monkeypatch, original, counted):
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "riccigraph" or mod_name.startswith("riccigraph."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+
+
 def _count_calls(monkeypatch):
     counts = dict.fromkeys(COUNTED, 0)
     for name in COUNTED:
@@ -53,11 +62,7 @@ def _count_calls(monkeypatch):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name == "riccigraph" or mod_name.startswith("riccigraph."):
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, key, counted)
+        _rebind(monkeypatch, original, counted)
     degrees = Graph.degrees
     counts["degrees"] = 0
 
@@ -156,3 +161,44 @@ def test_flat_scans_components_once(label, build, monkeypatch, tmp_path, capsys)
     assert cli.main(["flat", "--graph", str(path)]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "label, build",
+    [("G(60,177)", GRAPHS["G(60,177)"]), ("path", lambda: generate_family("path", [12]))],
+)
+def test_matching_bounds_skip_instances_with_an_empty_side(
+    label, build, monkeypatch, tmp_path, capsys
+):
+    # The matching bound matches N1(x) against N1(y), the 2-matching N1 | N2
+    # against N1 | N2; an empty side runs no matcher and builds no balls.
+    path = tmp_path / "g.txt"
+    path.write_text(write_edge_list(build()))
+    fresh = parse_edge_list(path.read_text())
+    expected = 0
+    for u, v in fresh.edges():
+        part = graph_module.neighbor_partition(fresh, u, v)
+        expected += bool(part.n1_x and part.n1_y)
+        expected += bool((part.n1_x + part.n2_x) and (part.n1_y + part.n2_y))
+    matchings, balls = [], []
+    original = matching.max_matching
+
+    def counted(inst):
+        matchings.append(inst)
+        return original(inst)
+
+    local_distance = graph_module.CoreNeighborhood.local_distance
+
+    def counted_balls(core):
+        if core._balls is None:
+            balls.append(tuple(sorted((core.x, core.y))))
+        return local_distance(core)
+
+    with monkeypatch.context() as patch:
+        _rebind(patch, original, counted)
+        patch.setattr(graph_module.CoreNeighborhood, "local_distance", counted_balls)
+        assert cli.main(["curvature", "--graph", str(path), "--all"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(matchings) == expected
+    tree_edges = {tuple(sorted(r["edge"])) for r in results if r["method"] == "tree_girth6"}
+    assert tree_edges and not tree_edges & set(balls)
