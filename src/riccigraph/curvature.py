@@ -86,7 +86,9 @@ def ricci_girth6_formula(g: Graph, x: int, y: int) -> CurvatureResult:
 
 
 def _girth6_from_partition(core: CoreNeighborhood) -> CurvatureResult:
-    kappa = -2 * positive_part(ONE - Fraction(1, core.d_x) - Fraction(1, core.d_y))
+    # -2(1 - 1/d_x - 1/d_y)_+ over the common denominator d_x d_y
+    dx, dy = core.d_x, core.d_y
+    kappa = Fraction(-2 * max(dx * dy - dx - dy, 0), dx * dy)
     return CurvatureResult(edge=(core.x, core.y), kappa=kappa, method="tree_girth6")
 
 

@@ -29,8 +29,10 @@ MAX_EDGES = 2**23
 # Largest vertex count for which a dense boolean adjacency matrix is cached.
 _DENSE_LIMIT = 4096
 
-# Transport instances of at least this many cells (rows x cols) are built and
-# solved with numpy; below it, per-call overhead makes nested lists faster.
+# Cost matrices of at least this many cells (rows x cols) are built with numpy;
+# below it, per-call overhead makes nested lists faster.  The solver picks its
+# pass by its own, smaller switch (transport._PATH_CELLS), so an instance from
+# either build may take either pass.
 _DENSE_CELLS = 2500
 
 

@@ -290,8 +290,10 @@ class ExperimentConfig:
             )
         if not 0 <= float(self.p) <= 1:
             raise GraphInputError(f"edge probability {self.p} outside [0, 1]")
-        if self.n < 2:
+        if self.model == "gnp" and self.n < 2:
             raise GraphInputError("need at least two vertices")
+        if self.n < 1:
+            raise GraphInputError("need at least one vertex per side")
         if self.workers < 1:
             raise GraphInputError("workers must be positive")
         if self.seed < 0:

@@ -4,9 +4,11 @@ Two independent routes compute the same number.  The primal route scales both
 uniform measures by L = lcm(d_x, d_y) and solves an integral min-cost
 transportation problem (total unimodularity makes the integer optimum the LP
 optimum), reduced to the mass that has to move, by shortest paths from a
-column-reduced dual and blocking flows over bitmasks.  One Dijkstra over
-nested lists serves both the list and the array pass; numpy does only the
-array pass's row masks and certificate.  The dual route
+column-reduced dual.  Small instances take the path pass, one shortest
+augmenting path per Dijkstra pass; the others take the array pass, blocking
+flows over bitmasks (the walk that curvature._max_flow shares) with numpy
+building the row masks and the certificate.  One Dijkstra over nested lists
+serves both passes.  The dual route
 exhaustively maximizes sum f d(m_x - m_y) over integer-valued 1-Lipschitz
 functions anchored at f(x) = 0; it is the exponential reference that ricci_lp
 checks the primal value against on small cores.  The primal value needs no separate
@@ -26,13 +28,17 @@ from operator import mul
 import numpy as np
 
 from .errors import OracleCapExceededError
-from .graph import _DENSE_CELLS, CoreNeighborhood
+from .graph import CoreNeighborhood
 
 DEFAULT_ORACLE_CAP = 18
 
 # The array pass works in int64; solve_transportation keeps every potential
 # and every flow-times-cost product below this.
 _INT64_SAFE = 2**60
+
+# Instances of fewer cells take the path pass: below it the array pass's numpy
+# calls and blocking-flow phases cost more than they save (BENCH_23.json).
+_PATH_CELLS = 144
 
 
 @dataclass(frozen=True)
@@ -53,20 +59,20 @@ def solve_transportation(
     Successive shortest paths with node potentials, started from column
     reduction (Jonker & Volgenant 1987): rows at 0 and each column at its
     cheapest cost are a feasible dual, so reduced costs are nonnegative
-    integers from the start.  Blocking flows are pushed through the
-    zero-reduced-cost subnetwork, first at that start, then after each
-    Dijkstra pass over Dial's bucket queue, which settles nodes one integer
-    distance level at a time; the number of passes is bounded by the largest
-    path cost rather than the flow value.  The final potentials are an
-    integer dual certificate and are checked against the primal cost before
-    returning.
+    integers from the start.  Each Dijkstra pass runs over Dial's bucket
+    queue, which settles nodes one integer distance level at a time.  The
+    final potentials are an integer dual certificate and are checked
+    against the primal cost before returning.
 
-    Two passes share the blocking-flow walk and the one Dijkstra over nested
-    lists, and return the same flow.  An instance of at least _DENSE_CELLS
-    cells whose costs keep every potential within int64 takes the array
-    pass, which masks the admissible arcs and checks the certificate with
-    numpy; smaller instances take the list pass, where numpy's per-call cost
-    would dominate.
+    Two passes share the column-reduced start and the one Dijkstra over
+    nested lists, check the same certificate, and agree on every total but
+    not necessarily on the flow.  Fewer than _PATH_CELLS cells, or costs
+    that could overflow int64, take the path pass, one shortest augmenting
+    path per Dijkstra pass: a small instance never amortises a blocking-flow
+    phase.  Any other instance takes the array pass: blocking flows through
+    the zero-reduced-cost cells after the start and after each Dijkstra
+    pass, so the passes are bounded by the largest path cost rather than the
+    flow value; numpy builds its masks and checks its certificate.
     """
     nr, nc = len(supply), len(demand)
     if isinstance(cost, np.ndarray):
@@ -80,7 +86,7 @@ def solve_transportation(
         raise ValueError("supply and demand totals differ")
     if any(s < 0 for s in supply) or any(d < 0 for d in demand):
         raise ValueError("negative supply or demand")
-    if nr * nc >= _DENSE_CELLS:
+    if nr * nc >= _PATH_CELLS:
         mat = np.asarray(cost)
         if mat.dtype.kind in "iu":
             # Potentials stay below top * (R + C) and a cell's flow times its
@@ -90,7 +96,7 @@ def solve_transportation(
                 return _array_pass(mat.astype(np.int64, copy=False), supply, demand)
     if isinstance(cost, np.ndarray):
         cost = cost.tolist()
-    return _list_pass(cost, supply, demand)
+    return _path_pass(cost, supply, demand)
 
 
 class _Flow:
@@ -121,10 +127,10 @@ class _Flow:
         """Augment along admissible paths until none reaches a column with demand.
 
         adm[i] is the mask of the columns that row i may send to (bit j
-        stands for column j), without capacity: in the solve those with
+        stands for column j), without capacity: in the array pass those with
         zero reduced cost, and in the closed forms' minimum cut
         (curvature._max_flow) every low -> up pair.  A reverse arc j -> i
-        carries positive flow.  In the solve an arc with flow has zero
+        carries positive flow.  In the array pass an arc with flow has zero
         reduced cost (it and its reverse are both nonnegative), so every
         reverse arc is admissible; the certificate checks this.
 
@@ -218,28 +224,63 @@ class _Flow:
                         ptr_col[path[-1] - nr] += 1
 
 
-def _list_pass(
+def _path_pass(
     cost: list[list[int]], supply: list[int], demand: list[int]
 ) -> tuple[int, list[list[int]]]:
-    """solve_transportation over nested lists: each row's mask is summed cell by cell."""
+    """solve_transportation over nested lists, one shortest augmenting path per Dijkstra.
+
+    Each round first fills, greedily, the zero-reduced-cost cells between
+    rows with supply and columns with demand; each such push exhausts a row
+    or a column, so there are at most R + C of them in all.  If mass is left,
+    one Dijkstra pass raises the potentials and the bottleneck is pushed
+    along the one shortest path it found, from a row with supply to the
+    nearest column with demand.  Ties at one distance settle first in, first
+    out, so while the potentials stay put the paths are shortest in arcs
+    too, and the number of rounds does not grow with the supplies.
+    """
     nr, nc = len(supply), len(demand)
     st = _Flow(supply, demand)
+    rem_s, rem_d, back = st.rem_s, st.rem_d, st.back
     # Column reduction: zero row potentials and each column at its cheapest
     # cost are a feasible dual whatever the costs' signs.
     pot = [0] * nr + (list(map(min, zip(*cost))) or [0] * nc)
-    bits = [1 << j for j in range(nc)]
-
     while True:
         col_pot = pot[nr:]
-        st.push_blocking_flows(
-            [
-                sum(b for b, c, p in zip(bits, ci, col_pot) if c + pi == p)
-                for ci, pi in zip(cost, pot)
-            ]
-        )
+        for i, ci, pi in zip(range(nr), cost, pot):
+            if not rem_s[i]:
+                continue
+            for j, c, p in zip(range(nc), ci, col_pot):
+                if c + pi == p and rem_d[j]:
+                    got = min(rem_s[i], rem_d[j])
+                    rem_s[i] -= got
+                    rem_d[j] -= got
+                    st.remaining -= got
+                    back[j][i] = back[j].get(i, 0) + got
+                    if not rem_s[i]:
+                        break
         if not st.remaining:
             break
-        _raise_potentials(cost, pot, st)
+        target, parent = _raise_potentials(cost, pot, st)
+        # The path's row -> column arcs from the target back to the source
+        # row; a row's parent is the column whose reverse arc reached it.
+        arcs = []
+        j = target
+        while j >= 0:
+            i = parent[nr + j]
+            arcs.append((i, j))
+            j = parent[i] - nr
+        reverse = [(i, j) for (i, _), (_, j) in zip(arcs, arcs[1:])]
+        got = min(rem_s[i], rem_d[target], *(back[j][i] for i, j in reverse))
+        rem_s[i] -= got
+        rem_d[target] -= got
+        st.remaining -= got
+        for i, j in arcs:
+            back[j][i] = back[j].get(i, 0) + got
+        for i, j in reverse:
+            if back[j][i] == got:
+                del back[j][i]
+            else:
+                back[j][i] -= got
 
     # Certify optimality: potentials form a feasible dual with matching objective.
     flow = st.matrix()
@@ -260,7 +301,7 @@ def _array_pass(
     """solve_transportation over an int64 matrix: numpy builds the masks and the certificate."""
     nr, nc = cost.shape
     st = _Flow(supply, demand)
-    pot = [0] * nr + cost.min(axis=0).tolist()  # the column reduction, as in the list pass
+    pot = [0] * nr + cost.min(axis=0).tolist()  # the column reduction, as in the path pass
     nested = None
     while True:
         pot_r = np.array(pot[:nr], dtype=np.int64)
@@ -293,7 +334,9 @@ def _array_pass(
     return total, flow
 
 
-def _raise_potentials(cost: list[list[int]], pot: list[int], st: _Flow) -> None:
+def _raise_potentials(
+    cost: list[list[int]], pot: list[int], st: _Flow
+) -> tuple[int, list[int]]:
     """One Dijkstra pass over reduced costs; raises pot (rows, then columns) in place.
 
     The pass starts from every row with remaining supply and runs over
@@ -301,12 +344,15 @@ def _raise_potentials(cost: list[list[int]], pot: list[int], st: _Flow) -> None:
     node is settled the first time it is taken from a bucket.  It stops at
     d*, the distance of the nearest column with remaining demand.  A settled
     row relaxes every column, a settled column only its reverse arcs.
+    Returns that column and each node's parent on its shortest path (-1 for
+    a source or an unreached node), so the path to the column reads back
+    from it.
     """
     nr, nc = st.nr, st.nc
     rem_d, back = st.rem_d, st.back
     col_pot = pot[nr:]
     dist = [float("inf")] * (nr + nc)
-    settled = [False] * (nr + nc)
+    parent = [-1] * (nr + nc)
     buckets: dict[int, list[int]] = {0: []}
     for i, s in enumerate(st.rem_s):
         if s > 0:
@@ -317,9 +363,8 @@ def _raise_potentials(cost: list[list[int]], pot: list[int], st: _Flow) -> None:
     while buckets and target < 0:
         d = min(buckets)
         for node in buckets[d]:  # zero reduced-cost arcs append to this level
-            if settled[node]:
+            if dist[node] < d:  # settled at a lower level
                 continue
-            settled[node] = True
             if node >= nr:
                 j = node - nr
                 if rem_d[j] > 0:
@@ -330,6 +375,7 @@ def _raise_potentials(cost: list[list[int]], pot: list[int], st: _Flow) -> None:
                     nd = d + pj - cost[i][j] - pot[i]
                     if nd < dist[i]:
                         dist[i] = nd
+                        parent[i] = node
                         buckets.setdefault(nd, []).append(i)
             else:
                 # a settled column has distance <= d, so it never improves
@@ -338,15 +384,15 @@ def _raise_potentials(cost: list[list[int]], pot: list[int], st: _Flow) -> None:
                     nd = base + c - p
                     if nd < dist[nj]:
                         dist[nj] = nd
+                        parent[nj] = node
                         buckets.setdefault(nd, []).append(nj)
         del buckets[d]
     if target < 0:
         raise RuntimeError("transportation problem infeasible")
     # A node not settled below dstar has true distance >= dstar, so the
     # raise is min(true distance, dstar) whatever order ties settled in.
-    for node in range(nr + nc):
-        dn = dist[node]
-        pot[node] += dn if dn <= dstar else dstar
+    pot[:] = [p + (dn if dn <= dstar else dstar) for p, dn in zip(pot, dist)]
+    return target, parent
 
 
 def _check_dual(

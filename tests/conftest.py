@@ -20,7 +20,8 @@ from riccigraph import (
     max_matching,
     solve_transportation,
 )
-from riccigraph.transport import _distance_matrix
+from riccigraph.rationals import positive_part
+from riccigraph.transport import _check_dual, _distance_matrix, _Flow, _raise_potentials
 
 HALL_SCAN_LIMIT = 20
 
@@ -430,6 +431,50 @@ def push_blocking_flows_reference(st, adm):
                         ptr_row[path[-1]] += 1
                     else:
                         ptr_col[path[-1] - nr] += 1
+
+
+def list_pass_reference(cost, supply, demand):
+    """solve_transportation by blocking flows over nested lists: the exact-flow reference.
+
+    The reference for transport._array_pass, which must return the same
+    (total, flow): the same column-reduced start, blocking flows over each
+    row's zero-reduced-cost mask (summed cell by cell here, packed by numpy
+    there) and the same Dijkstra between them, with the certificate checked.
+    """
+    nr, nc = len(supply), len(demand)
+    st = _Flow(supply, demand)
+    pot = [0] * nr + (list(map(min, zip(*cost))) or [0] * nc)
+    bits = [1 << j for j in range(nc)]
+    while True:
+        col_pot = pot[nr:]
+        st.push_blocking_flows(
+            [
+                sum(b for b, c, p in zip(bits, ci, col_pot) if c + pi == p)
+                for ci, pi in zip(cost, pot)
+            ]
+        )
+        if not st.remaining:
+            break
+        _raise_potentials(cost, pot, st)
+    flow = st.matrix()
+    total = 0
+    for ci, fi, pi in zip(cost, flow, pot):
+        for c, f, p in zip(ci, fi, col_pot):
+            rc = c + pi - p
+            if rc < 0 or (f > 0 and rc != 0):
+                raise RuntimeError("transport solver lost complementary slackness")
+            total += f * c
+    _check_dual(total, supply, demand, pot[:nr], col_pot)
+    return total, flow
+
+
+def girth6_kappa_reference(dx, dy):
+    """-2(1 - 1/d_x - 1/d_y)_+ as a chain of Fraction operations.
+
+    The reference for curvature._girth6_from_partition, which forms one
+    integer numerator over d_x d_y instead.
+    """
+    return -2 * positive_part(Fraction(1) - Fraction(1, dx) - Fraction(1, dy))
 
 
 def subset_gain_bruteforce(lows, ups, adj, dx, dy):

@@ -433,6 +433,17 @@ def test_experiment_tiny_p_samples_only_the_marked_edge(p):
     assert [row.split(",")[5] for row in rows] == ["tree_girth6"] * 2
 
 
+def test_experiment_bipartite_one_vertex_per_side():
+    # G(1, 1, p) has two vertices, and its marked edge (0, 1) is always drawn
+    proc = run_cli(
+        "experiment", "--model", "bipartite", "--regime", "d", "--n", "1", "--p", "0.5",
+        "--replicates", "2", "--format", "csv",
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.strip().split("\n")[1:]
+    assert [row.split(",", 3)[3] for row in rows] == ["0/1,0.0,tree_girth6,2"] * 2
+
+
 def test_experiment_undetermined_regime_refused():
     proc = run_cli(
         "experiment", "--model", "gnp", "--n", "100", "--p", "0.05",

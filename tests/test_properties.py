@@ -29,7 +29,13 @@ from riccigraph import (
 )
 from riccigraph import cli
 from riccigraph.transport import _distance_matrix
-from conftest import ball_bound_reference, bfs_distance_capped, local_distance_bfs
+from riccigraph.curvature import _girth6_from_partition
+from conftest import (
+    ball_bound_reference,
+    bfs_distance_capped,
+    girth6_kappa_reference,
+    local_distance_bfs,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -212,6 +218,16 @@ def test_kappa_invariant_under_relabelling(g, rnd: random.Random):
 def test_formula_equals_lp_where_it_applies(g):
     for u, v in g.edges():
         assert ricci_formula(g, u, v).kappa == ricci_lp(g, u, v).kappa
+
+
+@PROPERTY
+@given(formula_graphs())
+def test_girth6_closed_form_equals_fraction_chain(g):
+    # the form reads only the two degrees, so every edge's degree pair checks it
+    for u, v in g.edges():
+        core = core_neighborhood(g, u, v)
+        got = _girth6_from_partition(core).kappa
+        assert got == girth6_kappa_reference(core.d_x, core.d_y)
 
 
 @PROPERTY

@@ -182,6 +182,10 @@ def test_experiment_config_validation():
     with pytest.raises(GraphInputError):
         ExperimentConfig(model="gnp", n=1, p=0.5, replicates=5, seed=0)
     with pytest.raises(GraphInputError):
+        ExperimentConfig(model="bipartite", n=0, p=0.5, replicates=5, seed=0)
+    # n counts the vertices of each side, so G(1, 1, p) is a valid model
+    assert ExperimentConfig(model="bipartite", n=1, p=0.5, replicates=5, seed=0).n == 1
+    with pytest.raises(GraphInputError):
         ExperimentConfig(model="gnp", n=10, p=0.5, replicates=5, seed=0, workers=0)
 
 

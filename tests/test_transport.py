@@ -24,7 +24,12 @@ from riccigraph import (
 from riccigraph.graph import _DENSE_CELLS
 from riccigraph.randgraph import canonical_regime_params, replicate_seed, sample_gnp
 from riccigraph.errors import OracleCapExceededError
-from conftest import check_certificates, push_blocking_flows_reference, random_girth5_graphs
+from conftest import (
+    check_certificates,
+    list_pass_reference,
+    push_blocking_flows_reference,
+    random_girth5_graphs,
+)
 
 
 def brute_min_cost(cost, supply, demand):
@@ -232,8 +237,8 @@ def _warm_start_corpus():
 
 
 def test_list_and_array_passes_agree(monkeypatch):
-    # The two passes must return the same (total, flow), not only the same
-    # total: the flow is the solver's certificate and part of its contract.
+    # The array pass must return the same (total, flow) as the list reference,
+    # not only the same total: both push the same blocking flows.
     rounds = []
     dijkstra = transport._raise_potentials
 
@@ -248,7 +253,7 @@ def test_list_and_array_passes_agree(monkeypatch):
         before = len(rounds)
         got = transport._array_pass(np.array(cost, dtype=np.int64), supply, demand)
         array_dijkstra += len(rounds) > before
-        assert got == transport._list_pass(cost, supply, demand)
+        assert got == list_pass_reference(cost, supply, demand)
         assert solve_transportation(cost, supply, demand) == got
     # the array pass must reach the shared Dijkstra, not only its first flow
     assert array_dijkstra
@@ -282,6 +287,11 @@ print(json.dumps([solve_transportation(*case) for case in json.load(sys.stdin)])
 """
 
 
+def _random_demand(rng, total, nc):
+    cuts = sorted(rng.randint(0, total) for _ in range(nc - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
 def test_transportation_negative_costs_terminate():
     rng = random.Random(1503)
     cases = [
@@ -294,14 +304,24 @@ def test_transportation_negative_costs_terminate():
         nr, nc = rng.randint(1, 3), rng.randint(1, 3)
         cost = [[rng.randint(-3, 6) for _ in range(nc)] for _ in range(nr)]
         supply = [rng.randint(0, 4) for _ in range(nr)]
-        total = sum(supply)
-        cuts = sorted(rng.randint(0, total) for _ in range(nc - 1))
-        cases.append((cost, supply, [b - a for a, b in zip([0] + cuts, cuts + [total])]))
+        cases.append((cost, supply, _random_demand(rng, sum(supply), nc)))
     assert any(c < 0 for cost, _, _ in cases[3:] for row in cost for c in row)
+    # Supplies scaled by 10**12: a pass whose augmentations grew with the
+    # supplies would run past the timeout instead of answering.
+    big = 10**12
+    scaled = [(cost, [big * s for s in supply], [big * d for d in demand])
+              for cost, supply, demand in cases]
+    wide = []
+    for _ in range(20):
+        nr, nc = rng.randint(5, 11), rng.randint(5, 13)
+        cost = [[rng.randint(-3, 6) for _ in range(nc)] for _ in range(nr)]
+        supply = [big * rng.randint(0, 9) + rng.randint(0, 9) for _ in range(nr)]
+        wide.append((cost, supply, _random_demand(rng, sum(supply), nc)))
+    assert all(len(cost) * len(cost[0]) < transport._PATH_CELLS for cost, _, _ in wide)
     env = dict(os.environ, PYTHONPATH=str(Path(riccigraph.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _SOLVE_IN_CHILD],
-        input=json.dumps(cases),
+        input=json.dumps(cases + scaled + wide),
         capture_output=True,
         text=True,
         env=env,
@@ -310,8 +330,11 @@ def test_transportation_negative_costs_terminate():
     assert proc.returncode == 0, proc.stderr
     answers = json.loads(proc.stdout)
     assert [total for total, _ in answers[:3]] == [-1, -3, -2]
-    for (cost, supply, demand), (total, flow) in zip(cases, answers):
-        assert total == brute_min_cost(cost, supply, demand)
+    want = [brute_min_cost(*case) for case in cases]
+    want += [big * total for total in want]
+    want += [list_pass_reference(*case)[0] for case in wide]
+    for (cost, supply, demand), (total, flow), best in zip(cases + scaled + wide, answers, want):
+        assert total == best
         assert [sum(row) for row in flow] == supply
         assert [sum(col) for col in zip(*flow)] == demand
         assert all(f >= 0 for row in flow for f in row)
@@ -346,7 +369,7 @@ def test_blocking_flow_walk_equals_reference(case):
 
 def test_costs_near_int64_take_list_pass(monkeypatch):
     # Costs near 2**61 could overflow int64 potentials, so the dense instance
-    # goes to the list pass; shifting every cost by K adds K per unit shipped.
+    # goes to the path pass; shifting every cost by K adds K per unit shipped.
     rng = random.Random(61)
     nr, nc = 60, 70
     cost = [[rng.randint(0, 3) for _ in range(nc)] for _ in range(nr)]
@@ -365,6 +388,123 @@ def test_costs_near_int64_take_list_pass(monkeypatch):
     assert [sum(row) for row in flow] == supply
     assert [sum(col) for col in zip(*flow)] == demand
     assert total == sum(f * c for fr, cr in zip(flow, big) for f, c in zip(fr, cr))
+
+
+@st.composite
+def path_instances(draw):
+    """1..63 cells, or a side with no vertex; costs of any sign; four units at most.
+
+    Each unit leaves a drawn row and enters a drawn column, so supplies and
+    demands of zero are common and the brute force stays small.
+    """
+    nr = draw(st.integers(0, 9))
+    nc = draw(st.integers(1, 9)) if nr == 0 else draw(st.integers(0, min(9, 63 // nr)))
+    cost = draw(st.lists(
+        st.lists(st.integers(-5, 9), min_size=nc, max_size=nc), min_size=nr, max_size=nr
+    ))
+    units = draw(st.integers(0, 4)) if nr and nc else 0
+    supply, demand = [0] * nr, [0] * nc
+    for _ in range(units):
+        supply[draw(st.integers(0, nr - 1))] += 1
+        demand[draw(st.integers(0, nc - 1))] += 1
+    return cost, supply, demand
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_instances())
+def test_path_pass_matches_bruteforce(case):
+    cost, supply, demand = case
+    nr, nc = len(supply), len(demand)
+    total, flow = transport._path_pass(cost, supply, demand)
+    assert total == brute_min_cost(cost, supply, demand)
+    assert [sum(row) for row in flow] == supply
+    assert [sum(flow[i][j] for i in range(nr)) for j in range(nc)] == demand
+    assert all(f >= 0 for row in flow for f in row)
+    assert total == sum(f * c for fr, cr in zip(flow, cost) for f, c in zip(fr, cr))
+
+
+def _highs_total(cost, supply, demand):
+    """The optimum of scipy's HiGHS on the transportation LP, as a float."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    nr, nc = len(supply), len(demand)
+    res = linprog(
+        np.array(cost, dtype=float).ravel(),
+        A_eq=np.vstack([np.kron(np.eye(nr), np.ones((1, nc))),
+                        np.kron(np.ones((1, nr)), np.eye(nc))]),
+        b_eq=supply + demand,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def test_path_pass_matches_highs_on_sparse_cores():
+    # the reduced instances of seeded sparse graphs' edges below the switch
+    solved = 0
+    for seed, (n, p) in enumerate([(200, 0.03), (300, 0.02), (150, 0.05)]):
+        g = sample_gnp(n, p, seed, (0, 1))
+        for u, v in list(g.edges())[:60]:
+            cost, supply, demand = transport._reduced_instance(core_neighborhood(g, u, v))
+            if len(supply) * len(demand) >= transport._PATH_CELLS:
+                continue
+            total, _ = solve_transportation(cost, supply, demand)
+            assert abs(_highs_total(cost, supply, demand) - total) < 1e-6
+            solved += 1
+    assert solved > 150
+
+
+def test_pass_routing_by_cell_count(monkeypatch):
+    # Fewer than _PATH_CELLS cells take the path pass; at or above it, costs
+    # that keep int64 safe take the array pass, as lists or as an ndarray.
+    rng = random.Random(144)
+    k = transport._PATH_CELLS
+
+    def instances(shapes):
+        for nr, nc in shapes:
+            cost = [[rng.randint(-2, 3) for _ in range(nc)] for _ in range(nr)]
+            supply = [rng.randint(0, 5) if nc else 0 for _ in range(nr)]
+            demand = _random_demand(rng, sum(supply), nc) if nc else []
+            yield cost, supply, demand
+            yield np.array(cost, dtype=np.int64).reshape(nr, nc), supply, demand
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"took {name}")
+        return call
+
+    below = [(1, k - 1), (k - 1, 1), (9, 9), (0, 4), (4, 0), (1, 1)]
+    above = [(1, k), (k, 1), (12, 12), (20, 30)]
+    assert all(nr * nc < k for nr, nc in below)
+    assert all(nr * nc >= k for nr, nc in above)
+    monkeypatch.setattr(transport, "_array_pass", refuse("the array pass"))
+    for cost, supply, demand in instances(below):
+        total, _ = solve_transportation(cost, supply, demand)
+        assert total == list_pass_reference(np.asarray(cost).tolist(), supply, demand)[0]
+    monkeypatch.undo()
+    monkeypatch.setattr(transport, "_path_pass", refuse("the path pass"))
+    for cost, supply, demand in instances(above):
+        total, _ = solve_transportation(cost, supply, demand)
+        assert total == list_pass_reference(np.asarray(cost).tolist(), supply, demand)[0]
+
+
+def test_under_raised_potentials_fail_the_certificate(monkeypatch):
+    # The forced detour needs one Dijkstra raise of 1.  Raised by one less,
+    # the potentials leave the path's cells with positive reduced cost, and
+    # the path pass must refuse to return a total.
+    cost, supply, demand = [[1, 3], [2, 100]], [1, 1], [1, 1]
+    assert solve_transportation(cost, supply, demand)[0] == 5
+    dijkstra = transport._raise_potentials
+
+    def under_raise(cost, pot, st):
+        before = list(pot)
+        found = dijkstra(cost, pot, st)
+        pot[:] = [b + max(p - b - 1, 0) for b, p in zip(before, pot)]
+        return found
+
+    monkeypatch.setattr(transport, "_raise_potentials", under_raise)
+    with pytest.raises(RuntimeError, match="complementary slackness|dual certificate"):
+        solve_transportation(cost, supply, demand)
 
 
 def test_transportation_long_alternating_path():
