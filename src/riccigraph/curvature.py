@@ -17,11 +17,8 @@ from fractions import Fraction
 from .errors import NotApplicableError, VerificationError
 from .graph import CoreNeighborhood, Graph, NeighborPartition, core_neighborhood, two_coloring
 from .matching import BoundPair, matching_lower_bound, two_matching_lower_bound
-from .rationals import format_rational, positive_part
+from .rationals import format_rational
 from .transport import DEFAULT_ORACLE_CAP, _Flow, w1_dual_oracle, w1_primal
-
-ONE = Fraction(1)
-TWO = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -85,26 +82,32 @@ def ricci_girth6_formula(g: Graph, x: int, y: int) -> CurvatureResult:
     return _girth6_from_partition(core)
 
 
+def girth6_kappa(dx: int, dy: int) -> Fraction:
+    """-2(1 - 1/d_x - 1/d_y)_+, as one integer numerator over d_x d_y."""
+    return Fraction(-2 * max(dx * dy - dx - dy, 0), dx * dy)
+
+
 def _girth6_from_partition(core: CoreNeighborhood) -> CurvatureResult:
-    # -2(1 - 1/d_x - 1/d_y)_+ over the common denominator d_x d_y
-    dx, dy = core.d_x, core.d_y
-    kappa = Fraction(-2 * max(dx * dy - dx - dy, 0), dx * dy)
+    kappa = girth6_kappa(core.d_x, core.d_y)
     return CurvatureResult(edge=(core.x, core.y), kappa=kappa, method="tree_girth6")
 
 
 def ricci_bipartite_formula(g: Graph, x: int, y: int) -> CurvatureResult:
     """Closed form for edges of a bipartite graph.
 
-    kappa = -2(1 - 1/d_x - 1/d_y - |N1(y)|/d_y + sum_a M_a)_+
-
-    summed over connected components R_a of the subgraph induced on
+    The paper's kappa = -2(1 - 1/d_x - 1/d_y - |N1(y)|/d_y + sum_a M_a)_+
+    sums over connected components R_a of the subgraph induced on
     N1(x) u N1(y), where M_a = max over subsets T of the component's
     N1(y) side of |T|/d_y - |N(T)|/d_x.  No arc of the cut network joins
-    two components, so the whole sum is one minimum cut over N1(x) u N1(y).
-    Restricting T to the empty or full side gives the weaker indicator
-    form, which is not always tight: a proper subset wins whenever part of
-    one side sees few partners across the component.  The value is
-    symmetric in x and y although the expression reads one-sided.
+    two components, so the sum is |N1(y)|/d_y - cut/(d_x d_y) for one
+    minimum cut over N1(x) u N1(y), and the |N1(y)|/d_y terms cancel:
+
+        kappa = -2(b - cut)_+ / (d_x d_y),  b = d_x d_y - d_x - d_y,
+
+    where b and the cut are the same with x and y swapped.  Restricting T
+    to the empty or full side gives the weaker indicator form, which is not
+    always tight: a proper subset wins whenever part of one side sees few
+    partners across the component.
     """
     if not g.is_bipartite():
         raise NotApplicableError("graph is not bipartite", witness=two_coloring(g)[1])
@@ -116,6 +119,7 @@ def _max_flow(lows, ups, adj, dx: int, dy: int) -> int:
 
     Runs on the transport solver's blocking-flow walk: adj[v] lists the ups
     low v reaches, and those arcs are uncapacitated.  Bit j stands for ups[j].
+    The value is the minimum cut: the least d_x |lows - T| + d_y |N(T)|.
     """
     bit = {w: 1 << j for j, w in enumerate(ups)}
     st = _Flow([dx] * len(lows), [dy] * len(ups))
@@ -123,40 +127,31 @@ def _max_flow(lows, ups, adj, dx: int, dy: int) -> int:
     return dx * len(lows) - st.remaining
 
 
-def _subset_gain(lows, ups, adj, dx: int, dy: int) -> Fraction:
-    """Largest |T|/d_y - |N(T)|/d_x over subsets T of lows, N read from adj.
-
-    Equals |lows|/d_y minus a minimum cut: dropping a low vertex costs 1/d_y,
-    claiming an upper one costs 1/d_x, scaled by d_x*d_y to stay integral.
-    """
-    cut = _max_flow(lows, ups, adj, dx, dy)
-    return Fraction(len(lows), dy) - Fraction(cut, dx * dy)
-
-
 def _bipartite_from_partition(core: CoreNeighborhood) -> CurvatureResult:
-    g, x, y, part = core.graph, core.x, core.y, core.partition
+    part = core.partition
     # no triangles in a bipartite graph, so the common neighborhood is empty
     assert not part.delta
-    dx, dy = g.degree(x), g.degree(y)
-    inner = ONE - Fraction(1, dx) - Fraction(1, dy) - Fraction(len(part.n1_y), dy)
-    inner += _subset_gain(part.n1_y, part.n1_x, core.n1_arcs(), dx, dy)
-    kappa = -2 * positive_part(inner)
-    return CurvatureResult(edge=(x, y), kappa=kappa, method="bipartite")
+    dx, dy = core.d_x, core.d_y
+    cut = _max_flow(part.n1_y, part.n1_x, core.n1_arcs(), dx, dy)
+    kappa = Fraction(-2 * max(dx * dy - dx - dy - cut, 0), dx * dy)
+    return CurvatureResult(edge=(core.x, core.y), kappa=kappa, method="bipartite")
 
 
 def ricci_girth5_formula(g: Graph, x: int, y: int) -> CurvatureResult:
     """Closed form for edges of a graph with girth at least five.
 
-    kappa = min(kappa0, kappa1) with kappa0 = -(1 - 1/d_x - 1/d_y)_+ and
+    The paper's kappa = min(kappa0, kappa1) has kappa0 = -(1 - 1/d_x - 1/d_y)_+
+    and kappa1 = -(2 - 2/d_x - 2/d_y - sum_a (|A_a|/d_y - M_a))_+ over connected
+    components of the subgraph induced on N2(x) u N2(y) u P.  A_a is the
+    component's N2(y) share, and M_a = max over subsets T of A_a of
+    |T|/d_y - |N(T)|/d_x, where N pairs vertices of N2(y) and N2(x) that
+    share a middle vertex in P.  As in the bipartite form, the sum of M_a is
+    |N2(y)|/d_y - cut/(d_x d_y) for one minimum cut over N2(x) u N2(y), so
+    with b = d_x d_y - d_x - d_y each is one numerator over d_x d_y:
 
-    kappa1 = -(2 - 2/d_x - 2/d_y - sum_a (|A_a|/d_y - M_a))_+
+        kappa0 = -(b)_+ / (d_x d_y),  kappa1 = -(2b - cut)_+ / (d_x d_y),
 
-    over connected components of the subgraph induced on N2(x) u N2(y) u P.
-    A_a is the component's N2(y) share, and M_a = max over subsets T of A_a
-    of |T|/d_y - |N(T)|/d_x, where N pairs vertices of N2(y) and N2(x) that
-    share a middle vertex in P.  As in the bipartite form, the sum over
-    components is one minimum cut over N2(x) u N2(y).  Symmetric in x and y
-    despite the one-sided expression.
+    and neither changes when x and y swap.
     """
     if not g.has_girth_5():
         raise NotApplicableError("graph has girth below five")
@@ -164,21 +159,20 @@ def ricci_girth5_formula(g: Graph, x: int, y: int) -> CurvatureResult:
 
 
 def _girth5_from_partition(core: CoreNeighborhood) -> CurvatureResult:
-    x, y, part = core.x, core.y, core.partition
+    part = core.partition
     dx, dy = core.d_x, core.d_y
-    kappa0 = -positive_part(ONE - Fraction(1, dx) - Fraction(1, dy))
+    b = dx * dy - dx - dy
     # Girth five leaves delta empty, so the core has no phi edge.  An
     # (N2(y), N2(x)) pair is never adjacent, and a common neighbour is never
     # x, y or in N(x) | N(y), so core distance <= 2 is exactly a shared
     # middle in P: a pentagon through the edge.
     adj = core.pairs(part.n2_y, part.n2_x, 2)
-    inner = TWO - Fraction(2, dx) - Fraction(2, dy) - Fraction(len(part.n2_y), dy)
-    inner += _subset_gain(part.n2_y, part.n2_x, adj, dx, dy)
-    kappa1 = -positive_part(inner)
-    kappa = min(kappa0, kappa1, Fraction(0))
+    cut = _max_flow(part.n2_y, part.n2_x, adj, dx, dy)
+    kappa0 = Fraction(-max(b, 0), dx * dy)
+    kappa1 = Fraction(-max(2 * b - cut, 0), dx * dy)
     return CurvatureResult(
-        edge=(x, y),
-        kappa=kappa,
+        edge=(core.x, core.y),
+        kappa=min(kappa0, kappa1),
         method="girth5",
         detail=Girth5Breakdown(kappa0=kappa0, kappa1=kappa1),
     )
@@ -246,11 +240,7 @@ def curvature_bounds(
     bounds = [jost_liu_bounds(g, x, y, core=core)]
     if not core.partition.delta:
         bounds.append(
-            BoundPair(
-                lower=Fraction(-2 * max(dx * dy - dx - dy, 0), dx * dy),
-                upper=Fraction(0),
-                source="triangle_free",
-            )
+            BoundPair(lower=girth6_kappa(dx, dy), upper=Fraction(0), source="triangle_free")
         )
     bounds.append(matching_lower_bound(g, x, y, core=core))
     bounds.append(two_matching_lower_bound(g, x, y, core=core))

@@ -20,10 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import ricci_auto
+from .curvature import girth6_kappa, ricci_auto
 from .errors import GraphInputError, RegimeUndeterminedError
 from .graph import MAX_EDGES, MAX_VERTEX_ID, CoreNeighborhood, Graph, core_neighborhood
-from .rationals import format_rational, positive_part
+from .rationals import format_rational
 
 DEFAULT_SIZE_BUDGET = 250_000
 DEFAULT_REFERENCE_SAMPLES = 100_000
@@ -135,9 +135,7 @@ def sample_tree_limit(lam: float, replicates: int, seed: int) -> list[Fraction]:
         key = (u, v)
         val = cache.get(key)
         if val is None:
-            val = -2 * positive_part(
-                Fraction(1) - Fraction(1, 1 + u) - Fraction(1, 1 + v)
-            )
+            val = girth6_kappa(1 + u, 1 + v)
             cache[key] = val
         out.append(val)
     return out

@@ -481,7 +481,8 @@ def subset_gain_bruteforce(lows, ups, adj, dx, dy):
     """max over T subseteq lows of |T|/d_y - |N(T)|/d_x, by full subset scan.
 
     An independent oracle for the closed forms' minimum cut
-    (curvature._subset_gain); N(T) is the union of adj[v] over v in T.
+    (curvature._max_flow, which is d_x |lows| minus d_x d_y times this);
+    N(T) is the union of adj[v] over v in T.
     """
     k = len(lows)
     if k > HALL_SCAN_LIMIT:
@@ -509,6 +510,39 @@ def pentagon_pairs_reference(g, part):
         w: {z for m in g.neighbors(w) if m in middles for z in g.neighbors(m) if z in side_x}
         for w in part.n2_y
     }
+
+
+def bipartite_kappa_reference(core):
+    """The paper's bipartite form as a chain of Fraction operations.
+
+    -2(1 - 1/d_x - 1/d_y - |N1(y)|/d_y + max_T gain)_+, with the subset gain
+    over the N1(y) to N1(x) adjacency from subset_gain_bruteforce, so it
+    shares no flow code with curvature._bipartite_from_partition.
+    """
+    g, part = core.graph, core.partition
+    dx, dy = g.degree(core.x), g.degree(core.y)
+    side_x = set(part.n1_x)
+    adj = {v: [w for w in g.neighbors(v) if w in side_x] for v in part.n1_y}
+    inner = Fraction(1) - Fraction(1, dx) - Fraction(1, dy) - Fraction(len(part.n1_y), dy)
+    inner += subset_gain_bruteforce(part.n1_y, part.n1_x, adj, dx, dy)
+    return -2 * positive_part(inner)
+
+
+def girth5_kappa_reference(core):
+    """(kappa, kappa0, kappa1) of the paper's girth-5 form as Fraction chains.
+
+    The subset gain over the pentagon pairs is subset_gain_bruteforce over
+    pentagon_pairs_reference, so no flow or ball code of
+    curvature._girth5_from_partition is shared.
+    """
+    g, part = core.graph, core.partition
+    dx, dy = g.degree(core.x), g.degree(core.y)
+    kappa0 = -positive_part(Fraction(1) - Fraction(1, dx) - Fraction(1, dy))
+    adj = pentagon_pairs_reference(g, part)
+    inner = Fraction(2) - Fraction(2, dx) - Fraction(2, dy) - Fraction(len(part.n2_y), dy)
+    inner += subset_gain_bruteforce(part.n2_y, part.n2_x, adj, dx, dy)
+    kappa1 = -positive_part(inner)
+    return min(kappa0, kappa1, Fraction(0)), kappa0, kappa1
 
 
 def local_distance_bfs(core):

@@ -1,16 +1,20 @@
 """Census of the paper's claims over every graph on 1 to 7 vertices.
 
 networkx supplies the graphs (its atlas: 1,252 graphs, 12,342 edges), the
-girth reference and the matching sizes behind both matching bounds; it shares
-no code with riccigraph.  Every core here has at most 7 vertices, so ricci_lp
-runs the dual oracle beside the primal solve on every edge.
+girth, bipartiteness and component references and the matching sizes behind
+both matching bounds; it shares no code with riccigraph.  Every core here has
+at most 7 vertices, so ricci_lp runs the dual oracle beside the primal solve
+on every edge.
 """
+
+from collections import Counter
 
 import pytest
 
 from riccigraph import (
     Graph,
     NotApplicableError,
+    connected_components,
     core_neighborhood,
     curvature_bounds,
     flatness_with_classification,
@@ -59,6 +63,7 @@ def test_census_of_graphs_up_to_seven_vertices(monkeypatch):
 
     monkeypatch.setattr(curvature, "w1_dual_oracle", counted)
     graphs = edges = formula_edges = flat = 0
+    tight = Counter()  # (source, "applies" | "lower" | "upper") -> edges
     for atlas_graph in nx.graph_atlas_g():
         n = atlas_graph.number_of_nodes()
         if n == 0:
@@ -67,6 +72,10 @@ def test_census_of_graphs_up_to_seven_vertices(monkeypatch):
         g = Graph(n, atlas_graph.edges())
         nx_girth = nx.girth(atlas_graph)
         assert girth(g) == (None if nx_girth == float("inf") else nx_girth), atlas_graph.graph
+        assert g.has_girth_5() == (nx_girth >= 5), atlas_graph.graph
+        assert g.is_bipartite() == nx.is_bipartite(atlas_graph), atlas_graph.graph
+        nx_components = sorted(tuple(sorted(c)) for c in nx.connected_components(atlas_graph))
+        assert connected_components(g) == nx_components, atlas_graph.graph
         dist = dict(nx.all_pairs_shortest_path_length(atlas_graph, cutoff=2))
         kappas = []
         for x, y in g.edges():
@@ -86,6 +95,9 @@ def test_census_of_graphs_up_to_seven_vertices(monkeypatch):
             bounds = curvature_bounds(g, x, y, core=core)
             for pair in bounds:
                 assert pair.lower <= kappa <= pair.upper, (atlas_graph.graph, x, y, pair)
+                tight[pair.source, "applies"] += 1
+                tight[pair.source, "lower"] += pair.lower == kappa
+                tight[pair.source, "upper"] += pair.upper == kappa
             _check_matching_sizes(atlas_graph, dist, g, x, y, bounds)
         report = flatness_with_classification(g)
         assert report.is_flat == all(k == 0 for k in kappas), atlas_graph.graph
@@ -93,3 +105,15 @@ def test_census_of_graphs_up_to_seven_vertices(monkeypatch):
     assert (graphs, edges) == (1252, 12342)
     assert formula_edges == 1576
     assert flat == 110  # graphs with at least one edge
+    # how often each bound is tight; the README's table reports these counts
+    assert {
+        source: (tight[source, "applies"], tight[source, "lower"], tight[source, "upper"])
+        for source, _ in tight
+    } == {
+        "jost_liu": (12342, 6670, 11309),
+        "matching": (12342, 3594, 11309),
+        "two_matching": (12342, 1103, 11309),
+        "triangle_free": (2955, 1336, 2616),
+        "bipartite_upper": (783, 0, 783),
+        "cho_paeng_girth5": (239, 0, 20),
+    }

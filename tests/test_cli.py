@@ -1,11 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from riccigraph import __version__, generate_family, parse_edge_list, write_edge_list
+from riccigraph import __version__, cli, generate_family, parse_edge_list, write_edge_list
 
 
 def run_cli(*argv, env_extra=None):
@@ -489,3 +496,105 @@ def test_oracle_cap_env(tmp_path):
 def test_usage_error_exit_code():
     proc = run_cli("curvature", "--graph", "x.txt")
     assert proc.returncode == 2
+
+
+# Hostile CLI input.  Each field is hostile about one draw in eight and the
+# edge file holds at most one bad line, so most calls reach the commands.
+# Sizes stay small: every id, vertex count and family parameter is at most 8
+# unless it must be refused, and --regime alone names only the two canonical
+# regimes (e and f) that run in well under a second.  A path argument starting
+# with "@" is relative to a fresh directory that holds the edge file g.txt.
+_REFUSED = ["-1", "4194305", "99999999999999999999", "x", "1.5", "nan"]
+_EDGE_LINES = [b"0 1", b"1 2", b"2 3", b"0 2", b"3 0", b"2 4", b"4 5", b"5 0", b"6 7",
+               b"", b"# note", b"\t3\t5 "]
+_BAD_LINES = [b"\xff\xfe 1", b"1 1", b"1 2 3", b"-1 2", b"4194304 0",
+              b"99999999999999999999 1", b"nan inf", b"1.5 2", b"a b"]
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, RICCI_ORACLE_CAP or None, edge-file bytes) for one of the five subcommands."""
+
+    def pick(valid, hostile=()):
+        if hostile and draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(hostile))
+        return draw(st.sampled_from(valid))
+
+    def small():
+        return pick(["0", "1", "2", "3", "8"], _REFUSED)
+
+    file_path = pick(["@g.txt"], ["@", "@missing.txt"])
+    out_path = pick(["@out.txt"], ["@", "@no/out.txt"])
+    command = pick(["curvature", "flat", "girth", "gen", "experiment"])
+    argv = [command]
+    if command == "curvature":
+        argv += ["--graph", file_path]
+        argv += ["--all"] if draw(st.booleans()) else ["--edge", small(), small()]
+        argv += ["--method", pick(["auto", "lp", "formula"], ["best"])]
+        argv += ["--format", pick(["json", "csv"], ["xml"])]
+        argv += ["--verify"] * draw(st.booleans())
+    elif command in ("flat", "girth"):
+        argv += ["--graph", file_path]
+    elif command == "gen":
+        family = pick(["path", "cycle", "star", "hypercube", "complete_bipartite",
+                       "complete", "petersen"], ["wheel"])
+        count = pick([0, 1, 2], [3])
+        params = [pick(["1", "2", "3", "8"], ["0", "", *_REFUSED]) for _ in range(count)]
+        argv += ["--family", family, "--params", ",".join(params)]
+        argv += ["--out", out_path] * draw(st.booleans())
+    else:
+        argv += ["--model", pick(["gnp", "bipartite"], ["tree"])]
+        shape = pick(["regime", "n and p"], ["n only", "none"])
+        if shape == "regime":
+            argv += ["--regime", pick(["e", "f"])]
+        if shape in ("n and p", "n only"):
+            argv += ["--n", small()]
+        if shape == "n and p":
+            argv += ["--p", pick(["0", "1", "0.5", "1e-300"], ["inf", "-0.1", *_REFUSED])]
+            argv += ["--regime", pick(list("abcdef"))] * draw(st.booleans())
+        argv += ["--replicates", pick(["1", "2"], ["0", "100001", *_REFUSED])]
+        argv += ["--seed", pick(["0", "7"], _REFUSED)]
+        argv += ["--workers", pick(["1"], ["0", "-1", "x"])]
+        argv += ["--out", out_path] * draw(st.booleans())
+        argv += ["--format", pick(["json", "csv"])]
+    cap = pick([None, "2", "12", "18"], ["19", "1", "", "abc", "-3", "99999999999999999999"])
+    lines = draw(st.lists(st.sampled_from(_EDGE_LINES), max_size=8))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BAD_LINES)))
+    return argv, cap, draw(st.sampled_from([b"\n", b"\r\n"])).join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_calls())
+@example((["flat", "--graph", "@g.txt"], None, b"0 1\n\xff\xfe 1"))
+@example((["girth", "--graph", "@"], None, b"0 1"))
+@example((["curvature", "--graph", "@missing.txt", "--all"], None, b"0 1"))
+@example((["curvature", "--graph", "@g.txt", "--edge", "0", "99999999999999999999"], None, b"0 1"))
+@example((["curvature", "--graph", "@g.txt", "--all", "--method", "formula"], None,
+          b"0 1\n1 2\n0 2"))
+@example((["flat", "--graph", "@g.txt"], "abc", b"0 1"))
+@example((["curvature", "--graph", "@g.txt", "--all"], "19", b"0 1"))
+@example((["experiment", "--model", "gnp", "--n", "5", "--p", "nan", "--replicates", "1"],
+          None, b""))
+@example((["experiment", "--model", "gnp", "--regime", "f", "--replicates", "1"], None, b""))
+@example((["gen", "--family", "cycle", "--params", "4", "--out", "@"], None, b""))
+def test_cli_exits_with_a_documented_code_on_hostile_input(call):
+    argv, cap, edge_file = call
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [os.path.join(tmp, a[1:]) if a.startswith("@") else a for a in argv]
+        with open(os.path.join(tmp, "g.txt"), "wb") as fh:
+            fh.write(edge_file)
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            os.environ.pop("RICCI_ORACLE_CAP", None)
+            if cap is not None:
+                os.environ["RICCI_ORACLE_CAP"] = cap
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses with exit 2
+                code = exc.code
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == (code != 0), (argv, errors)
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv

@@ -191,7 +191,7 @@ def _random_cut_instance(rng):
     return sorted(lows), sorted(ups), adj, rng.randint(1, 6), rng.randint(1, 6)
 
 
-def test_subset_gain_matches_bruteforce():
+def test_max_flow_matches_bruteforce():
     rng = random.Random(909)
     seen = dict.fromkeys(("no lows", "no ups", "isolated low", "d_x != d_y"), 0)
     for trial in range(400):
@@ -200,9 +200,9 @@ def test_subset_gain_matches_bruteforce():
         seen["no ups"] += not ups
         seen["isolated low"] += any(not adj[v] for v in lows)
         seen["d_x != d_y"] += dx != dy
-        assert curvature._subset_gain(lows, ups, adj, dx, dy) == subset_gain_bruteforce(
-            lows, ups, adj, dx, dy
-        ), trial
+        gain = subset_gain_bruteforce(lows, ups, adj, dx, dy)
+        cut = curvature._max_flow(lows, ups, adj, dx, dy)
+        assert cut == len(lows) * dx - gain * dx * dy, trial
     assert all(seen.values()), seen
 
 

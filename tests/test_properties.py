@@ -29,10 +29,16 @@ from riccigraph import (
 )
 from riccigraph import cli
 from riccigraph.transport import _distance_matrix
-from riccigraph.curvature import _girth6_from_partition
+from riccigraph.curvature import (
+    _bipartite_from_partition,
+    _girth5_from_partition,
+    _girth6_from_partition,
+)
 from conftest import (
     ball_bound_reference,
     bfs_distance_capped,
+    bipartite_kappa_reference,
+    girth5_kappa_reference,
     girth6_kappa_reference,
     local_distance_bfs,
 )
@@ -228,6 +234,21 @@ def test_girth6_closed_form_equals_fraction_chain(g):
         core = core_neighborhood(g, u, v)
         got = _girth6_from_partition(core).kappa
         assert got == girth6_kappa_reference(core.d_x, core.d_y)
+
+
+@PROPERTY
+@given(formula_graphs())
+def test_cut_closed_forms_equal_fraction_chains(g):
+    # the integer forms read the cut from one side, so check both orientations
+    for u, v in g.edges():
+        for x, y in ((u, v), (v, u)):
+            core = core_neighborhood(g, x, y)
+            if g.is_bipartite():
+                assert _bipartite_from_partition(core).kappa == bipartite_kappa_reference(core)
+            if g.has_girth_5():
+                got = _girth5_from_partition(core)
+                want = girth5_kappa_reference(core)
+                assert (got.kappa, got.detail.kappa0, got.detail.kappa1) == want
 
 
 @PROPERTY

@@ -13,6 +13,7 @@ from riccigraph import (
     canonical_regime_params,
     core_neighborhood,
     ecdf_distance,
+    format_rational,
     max_matching,
     regime_descriptor,
     regime_limit,
@@ -85,6 +86,14 @@ def test_tree_limit_range_and_determinism():
     for q in xs:
         assert Fraction(-2) <= q <= 0
     assert any(q == 0 for q in xs)  # the clamp at degree-1 endpoints fires
+
+
+def test_sample_tree_limit_pinned():
+    # sha256 of the draws' "p/q" lines, recorded when each draw was its own
+    # Fraction chain; the girth-6 form at degrees 1 + X1 and 1 + X2 must match
+    xs = sample_tree_limit(3.0, 2000, 11)
+    digest = hashlib.sha256("\n".join(map(format_rational, xs)).encode()).hexdigest()
+    assert digest == "8bfc90c61884b9dafcc605d5921d46aeadbd57928fc2df8007c1f58dc89ccc54"
 
 
 def test_tree_limit_self_consistency():
