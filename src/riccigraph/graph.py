@@ -1,12 +1,15 @@
 """Finite simple graphs plus the neighborhood machinery the curvature code runs on.
 
 Vertices are dense nonnegative integers 0..vertex_count-1.  A Graph is immutable
-once built and keeps every adjacency list sorted, so all traversals below are
-deterministic.  Isolated vertices are allowed.
+once built.  It keeps its sorted arc keys and builds a vertex's sorted neighbour
+tuple the first time it is read, so a sampled graph read at one edge pays for
+the tuples of that edge alone; whole-graph scans build every tuple at once.
+All traversals below are deterministic.  Isolated vertices are allowed.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -26,7 +29,8 @@ MAX_VERTEX_ID = 2**22 - 1
 # edges.  Hypercube-20, bounded by its own dimension check, is larger.
 MAX_EDGES = 2**23
 
-# Largest vertex count for which a dense boolean adjacency matrix is cached.
+# Largest vertex count for which the dense boolean adjacency and the neighbour
+# masks are built; larger graphs keep the set-based neighbour partition.
 _DENSE_LIMIT = 4096
 
 # Cost matrices of at least this many cells (rows x cols) are built with numpy;
@@ -37,7 +41,7 @@ _DENSE_CELLS = 2500
 
 
 class Graph:
-    """Undirected simple graph with sorted, immutable adjacency lists.
+    """Undirected simple graph with sorted neighbour tuples, each built on first read.
 
     Graph(n, edges) takes (u, v) pairs and Graph.from_arrays takes parallel
     endpoint arrays; both go through one builder, so they accept and reject
@@ -45,7 +49,9 @@ class Graph:
     orientation, and duplicates collapse.
     """
 
-    __slots__ = ("_n", "_adj", "_edge_count", "_keys", "_dense", "_facts")
+    __slots__ = (
+        "_n", "_adj", "_bounds", "_edge_count", "_keys", "_dense", "_masks", "_facts",
+    )
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         pairs = list(edges)
@@ -62,7 +68,8 @@ class Graph:
     @classmethod
     def from_arrays(cls, vertex_count: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
         """Graph from parallel 1-D integer endpoint arrays of equal length (used by
-        the samplers); the same checks and messages as Graph(n, edges)."""
+        the samplers); the same checks and messages as Graph(n, edges).  It sorts
+        the arc keys and builds no neighbour tuple."""
         g = cls.__new__(cls)
         g._build(vertex_count, us, vs)
         return g
@@ -70,7 +77,7 @@ class Graph:
     def _build(self, n: int, us, vs) -> None:
         # The one path from endpoints to a Graph.  Each edge becomes two arc
         # keys u * n + v, and one sort of those keys lays every vertex's
-        # neighbours out as a contiguous ascending run.
+        # neighbours out as a contiguous ascending run, keys[bounds[v]:bounds[v + 1]].
         if n < 0 or n > MAX_VERTEX_ID + 1:
             raise GraphInputError(f"bad vertex count {n}")
         us = np.asarray(us)
@@ -95,14 +102,15 @@ class Graph:
         # keys stay below 2**44 since n <= 2**22
         keys = np.sort(np.concatenate([us * n + vs, vs * n + us]))
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        dst = (keys % n).tolist()
-        bounds = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
         self._n = n
-        self._adj = tuple(tuple(dst[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        self._keys = keys
+        # 8 bytes per vertex; indexing yields Python ints
+        self._bounds = array("q", np.searchsorted(keys, np.arange(n + 1) * n).tobytes())
+        # a list with None for each tuple not yet read, then the tuple of all
+        self._adj = [None] * n
         self._edge_count = len(keys) // 2
-        # kept only where adjacency_matrix may fill from them
-        self._keys = keys if n <= _DENSE_LIMIT else None
         self._dense = None
+        self._masks = None
         self._facts = {}
 
     @property
@@ -114,28 +122,58 @@ class Graph:
         return self._edge_count
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        if v < 0:  # from the end, as neighbors reads it
+            return len(self.neighbors(v))
+        return self._bounds[v + 1] - self._bounds[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        t = self._adj[v]
+        if t is None:
+            v %= self._n  # a negative id indexes from the end, as a tuple does
+            lo, hi = self._bounds[v], self._bounds[v + 1]
+            t = self._adj[v] = tuple((self._keys[lo:hi] - v * self._n).tolist())
+        return t
+
+    def _neighbor_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """Every neighbour tuple, built at once for the whole-graph readers.
+
+        Above _DENSE_LIMIT no mask or dense matrix reads the arc keys, so
+        they are dropped once every tuple exists.
+        """
+        if type(self._adj) is list:
+            dst = (self._keys % self._n).tolist()
+            b = self._bounds
+            self._adj = tuple(tuple(dst[lo:hi]) for lo, hi in zip(b, b[1:]))
+            if self._n > _DENSE_LIMIT:
+                self._keys = None
+        return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self._n and 0 <= v < self._n):
             return False
-        a = self._adj[u] if len(self._adj[u]) <= len(self._adj[v]) else self._adj[v]
-        t = v if a is self._adj[u] else u
-        i = bisect_left(a, t)
-        return i < len(a) and a[i] == t
+        if self.degree(u) > self.degree(v):
+            u, v = v, u
+        a = self.neighbors(u)
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges (u, v) with u < v in lexicographic order."""
+        adj = self._neighbor_tuples()
         for u in range(self._n):
-            for v in self._adj[u]:
+            for v in adj[u]:
                 if v > u:
                     yield (u, v)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self._adj)
+        b = self._bounds
+        return tuple(hi - lo for lo, hi in zip(b, b[1:]))
+
+    def _scatter(self) -> np.ndarray:
+        # the n x n boolean adjacency in one scatter of the sorted arc keys
+        a = np.zeros(self._n * self._n, dtype=bool)
+        a[self._keys] = True
+        return a.reshape(self._n, self._n)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency, cached.  Only for graphs up to _DENSE_LIMIT vertices.
@@ -148,10 +186,27 @@ class Graph:
                 raise GraphInputError(
                     f"dense adjacency refused for {self._n} vertices (limit {_DENSE_LIMIT})"
                 )
-            a = np.zeros(self._n * self._n, dtype=bool)
-            a[self._keys] = True
-            self._dense = a.reshape(self._n, self._n)
+            self._dense = self._scatter()
         return self._dense
+
+    def neighbor_masks(self) -> list[int]:
+        """One Python-int mask per vertex, bit w set when w is in N(v); cached.
+
+        Only for graphs up to _DENSE_LIMIT vertices.  The rows of the dense
+        adjacency (the cached one, else a scatter that is not kept) are packed
+        little-endian, so bit w of a row's bytes is column w.
+        """
+        if self._masks is None:
+            n = self._n
+            if n > _DENSE_LIMIT:
+                raise GraphInputError(
+                    f"neighbour masks refused for {n} vertices (limit {_DENSE_LIMIT})"
+                )
+            a = self._dense if self._dense is not None else self._scatter()
+            raw = np.packbits(a, axis=1, bitorder="little").tobytes()
+            w = (n + 7) // 8
+            self._masks = [int.from_bytes(raw[i * w : i * w + w], "little") for i in range(n)]
+        return self._masks
 
     def is_bipartite(self) -> bool:
         """Whether two_coloring succeeds; scanned on first use, then cached."""
@@ -254,8 +309,7 @@ def _has_triangle(g: Graph) -> bool:
 def _has_square(g: Graph) -> bool:
     # A 4-cycle exists iff some vertex pair has two common neighbors.
     seen: set[tuple[int, int]] = set()
-    for w in range(g.vertex_count):
-        nb = g.neighbors(w)
+    for nb in g._neighbor_tuples():
         for i in range(len(nb)):
             for j in range(i + 1, len(nb)):
                 pair = (nb[i], nb[j])
@@ -283,6 +337,7 @@ def two_coloring(g: Graph) -> tuple[list[int] | None, list[int] | None]:
     Returns (colors, None) on success or (None, odd_cycle) where odd_cycle is a
     vertex list of an odd cycle witnessing non-bipartiteness.
     """
+    adj = g._neighbor_tuples()
     color = [-1] * g.vertex_count
     parent = [-1] * g.vertex_count
     depth = [0] * g.vertex_count
@@ -293,7 +348,7 @@ def two_coloring(g: Graph) -> tuple[list[int] | None, list[int] | None]:
         frontier = deque([root])
         while frontier:
             u = frontier.popleft()
-            for w in g.neighbors(u):
+            for w in adj[u]:
                 if color[w] == -1:
                     color[w] = color[u] ^ 1
                     parent[w] = u
@@ -351,6 +406,7 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted, ordered by least vertex;
     scanned on first use and cached among the graph's facts, returned as a fresh list."""
     if "components" not in g._facts:
+        g._neighbor_tuples()
         g._facts["components"] = components_within(g, range(g.vertex_count))
     return list(g._facts["components"])
 
@@ -363,8 +419,8 @@ class NeighborPartition:
     remaining z in N(x) lands in n1_x or n2_x when its distance to N(y) - {x}
     is 1 or 2 (4-cycle and 5-cycle neighbors); a farther z is in no field.
     The y side mirrors it.  p_xy collects vertices at distance exactly 2 from
-    both x and y.  With near_y = N(N(y) - {x}), these are set tests: z is in
-    near_y, or a neighbour of z is (x is one exactly when delta is
+    both x and y.  With near_y = N(N(y) - {x}), these are membership tests:
+    z is in near_y, or a neighbour of z is (x is one exactly when delta is
     non-empty); and p_xy is near_x & near_y outside N(x) | N(y) | {x, y}.
     All fields are sorted tuples.
     """
@@ -387,29 +443,80 @@ class NeighborPartition:
 
 def neighbor_partition(g: Graph, x: int, y: int) -> NeighborPartition:
     """Classify both neighborhoods of the edge (x, y) through near_x and near_y
-    (see NeighborPartition); raises NotAnEdgeError otherwise."""
+    (see NeighborPartition); raises NotAnEdgeError otherwise.
+
+    Up to _DENSE_LIMIT vertices the tests read the graph's neighbour masks,
+    so only the tuples of x and y are read; above it they are set tests over
+    the tuples of N(x) and N(y)."""
     if not g.has_edge(x, y):
         raise NotAnEdgeError(f"({x}, {y}) is not an edge")
-    adj = g._adj
-    nx, ny = set(adj[x]), set(adj[y])
-    near_x = set().union(*(adj[z] for z in nx if z != y))
-    near_y = set().union(*(adj[z] for z in ny if z != x))
+    if g.vertex_count > _DENSE_LIMIT:
+        return _set_partition(g, x, y)
+    return _mask_partition(g, x, y)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _mask_partition(g: Graph, x: int, y: int) -> NeighborPartition:
+    masks = g.neighbor_masks()
+    ax, ay = g.neighbors(x), g.neighbors(y)
+    near_x = near_y = 0
+    for z in ax:
+        if z != y:
+            near_x |= masks[z]
+    for z in ay:
+        if z != x:
+            near_y |= masks[z]
 
     def split(own, skip, near_other):
-        # skip holds the far endpoint and delta; the neighbour tuple is
-        # ascending, so each part comes out sorted
+        # skip holds the far endpoint and delta; own is ascending, so each
+        # part comes out sorted
         n1, n2 = [], []
-        for z in adj[own]:
+        for z in own:
+            if skip >> z & 1:
+                continue
+            if near_other >> z & 1:
+                n1.append(z)
+            elif masks[z] & near_other:
+                n2.append(z)
+        return tuple(n1), tuple(n2)
+
+    mx, my = masks[x], masks[y]
+    return NeighborPartition(
+        x, y, tuple(z for z in ax if my >> z & 1),
+        *split(ax, my | 1 << y, near_y), *split(ay, mx | 1 << x, near_x),
+        # x is in N(y) and y in N(x), so ~(mx | my) drops both endpoints too
+        _bits(near_x & near_y & ~(mx | my)),
+    )
+
+
+def _set_partition(g: Graph, x: int, y: int) -> NeighborPartition:
+    nb = g.neighbors
+    nx, ny = set(nb(x)), set(nb(y))
+    near_x = set().union(*(nb(z) for z in nx if z != y))
+    near_y = set().union(*(nb(z) for z in ny if z != x))
+
+    def split(own, skip, near_other):
+        n1, n2 = [], []
+        for z in nb(own):
             if z in skip:
                 continue
             if z in near_other:
                 n1.append(z)
-            elif not near_other.isdisjoint(adj[z]):
+            elif not near_other.isdisjoint(nb(z)):
                 n2.append(z)
         return tuple(n1), tuple(n2)
 
     return NeighborPartition(
-        x, y, tuple(z for z in adj[x] if z in ny),
+        x, y, tuple(z for z in nb(x) if z in ny),
         *split(x, ny | {y}, near_y), *split(y, nx | {x}, near_x),
         tuple(sorted((near_x & near_y) - nx - ny - {x, y})),
     )
@@ -476,7 +583,7 @@ class CoreNeighborhood:
         with no bit in ball_3 is farther apart or disconnected in the core.
         """
         if self._balls is None:
-            idx, adj = self.index, self.graph._adj
+            idx, adj = self.index, self.graph._neighbor_tuples()
             dset, pset = set(self.partition.delta), set(self.partition.p_xy)
             nbrs = []
             for v in self.vertices:
@@ -525,11 +632,8 @@ class CoreNeighborhood:
         subgraph induced on N1(x) | N1(y).
         """
         if self._n1_arcs is None:
-            side_x = set(self.partition.n1_x)
-            adj = self.graph._adj
-            self._n1_arcs = {
-                v: [w for w in adj[v] if w in side_x] for v in self.partition.n1_y
-            }
+            side_x, nb = set(self.partition.n1_x), self.graph.neighbors
+            self._n1_arcs = {v: [w for w in nb(v) if w in side_x] for v in self.partition.n1_y}
         return self._n1_arcs
 
     def transport_costs(self) -> list[list[int]] | np.ndarray:

@@ -126,6 +126,28 @@ def test_curvature_all_csv_peak_memory(tmp_path, monkeypatch, capsys):
     assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
+def test_curvature_all_csv_peak_memory_above_dense_limit(tmp_path, capsys):
+    # Above graph._DENSE_LIMIT no mask or dense matrix reads the arc keys, so
+    # the graph drops them once the first whole-graph scan has built every
+    # neighbour tuple.  On C_(2^14) the traced peak here is 14.96 MiB with
+    # the tuples built in the constructor and 15.08 MiB with them built on
+    # first read; keeping the keys beside the tuples reads 15.34 MiB.
+    import tracemalloc
+
+    from riccigraph import cli, generate_family
+
+    path = tmp_path / "cycle.txt"
+    path.write_text(write_edge_list(generate_family("cycle", [2**14])))
+    tracemalloc.start()
+    try:
+        assert cli.main(["curvature", "--graph", str(path), "--all", "--format", "csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.count("\n") == 2**14 + 1
+    assert peak < 15.2 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
 RESULTS_DIGESTS = {
     "Q7": ("hypercube", [7], "c9b2b169dcdd9d388043c9463c9fc58c70db2ffe49e24e535b1d69918a2f379a"),
     "petersen": ("petersen", [], "e0083dfe4b538339606f834fad919a59b93ad69bb4b6866e3dad281e809d3697"),

@@ -1,10 +1,12 @@
 import random
+from dataclasses import astuple
 
 import pytest
 
 from riccigraph import (
     Graph,
     GraphInputError,
+    NeighborPartition,
     connected_components,
     core_neighborhood,
     generate_family,
@@ -15,7 +17,7 @@ from riccigraph import (
     two_coloring,
     write_edge_list,
 )
-from riccigraph.graph import components_within
+from riccigraph.graph import _DENSE_LIMIT, components_within
 from riccigraph.transport import _distance_matrix
 from riccigraph.randgraph import sample_gnp
 from conftest import (
@@ -34,6 +36,9 @@ def test_basic_accessors():
     assert g.edge_count == 4
     assert g.neighbors(1) == (0, 2, 3)
     assert g.degree(4) == 0
+    # negative ids count from the end, as for a tuple
+    assert [g.degree(-v) for v in (1, 2, 5)] == [0, 1, 2]
+    assert g.neighbors(-4) == (0, 2, 3) and g.neighbors(1) == (0, 2, 3)
     assert g.has_edge(2, 0) and g.has_edge(0, 2)
     assert not g.has_edge(0, 3)
     assert list(g.edges()) == [(0, 1), (0, 2), (1, 2), (1, 3)]
@@ -169,6 +174,29 @@ def test_global_facts_cached_on_graph():
     colors, _ = two_coloring(cube)
     colors[0] = 7
     assert two_coloring(cube)[0][0] == 0
+
+
+def test_partition_above_dense_limit_matches_relabelled_copy():
+    # Above _DENSE_LIMIT the partition takes the set path and below it the
+    # mask path, so a small graph spread over ids past the limit must split
+    # the same way once its ids are mapped back.
+    small = sample_gnp(60, 0.08, 3, (0, 1))
+    n = _DENSE_LIMIT + 100
+    ids = random.Random(5).sample(range(n), small.vertex_count)
+    big = Graph(n, [(ids[u], ids[v]) for u, v in small.edges()])
+    back = {w: i for i, w in enumerate(ids)}
+    filled = [False] * 6
+    for u, v in small.edges():
+        for x, y in ((u, v), (v, u)):
+            fields = [
+                tuple(sorted(back[w] for w in f))
+                for f in astuple(neighbor_partition(big, ids[x], ids[y]))[2:]
+            ]
+            assert NeighborPartition(x, y, *fields) == neighbor_partition(small, x, y)
+            filled = [a or bool(f) for a, f in zip(filled, fields)]
+    assert all(filled)  # every class occurs somewhere
+    with pytest.raises(GraphInputError):
+        big.neighbor_masks()
 
 
 def test_neighbor_partition_cycle4():

@@ -28,6 +28,7 @@ from riccigraph import (
     write_edge_list,
 )
 from riccigraph import cli
+from riccigraph.graph import _mask_partition, _set_partition
 from riccigraph.transport import _distance_matrix
 from riccigraph.curvature import (
     _bipartite_from_partition,
@@ -125,10 +126,18 @@ def test_from_arrays_matches_constructor(case):
         nbrs[v].add(u)
     fast = Graph.from_arrays(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
     slow = Graph(n, zip(us, vs))
+    tuples = tuple(tuple(sorted(s)) for s in nbrs)
+    masks = [sum(1 << w for w in s) for s in nbrs]
+    assert slow.neighbor_masks() == masks  # from its own scatter
+    # built all at once, before any single tuple is read
+    assert Graph(n, zip(us, vs))._neighbor_tuples() == tuples
     for g in (fast, slow):
         assert g.edge_count == sum(map(len, nbrs)) // 2
-        assert [g.neighbors(v) for v in range(n)] == [tuple(sorted(s)) for s in nbrs]
+        assert g.degrees() == tuple(map(len, nbrs))
+        assert tuple(g.neighbors(v) for v in range(n)) == tuples  # one at a time
+        assert g._neighbor_tuples() == tuples
         assert np.array_equal(g.adjacency_matrix(), _matrix_from_edges(g))
+        assert g.neighbor_masks() == masks  # fast: from the cached dense matrix
 
 
 def _partition_by_distances(g, x, y):
@@ -158,6 +167,20 @@ def test_neighbor_partition_matches_distances(g):
     for u, v in g.edges():
         for x, y in ((u, v), (v, u)):
             assert neighbor_partition(g, x, y) == _partition_by_distances(g, x, y)
+
+
+@PROPERTY
+@given(st.one_of(graphs(), formula_graphs()))
+@example(generate_family("complete", [4]))  # delta
+@example(generate_family("cycle", [5]))  # N2 and P
+@example(generate_family("petersen", []))
+@example(Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))  # the pendant edge (2, 3)
+@example(generate_family("complete_bipartite", [2, 3]))
+def test_mask_partition_equals_set_partition(g):
+    # the set path is the one kept above _DENSE_LIMIT
+    for u, v in g.edges():
+        for x, y in ((u, v), (v, u)):
+            assert _mask_partition(g, x, y) == _set_partition(g, x, y)
 
 
 @PROPERTY
